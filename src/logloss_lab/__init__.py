@@ -6,7 +6,6 @@ from .core import (
     LAMBDA_STAR,
     BinaryTree,
     ExpertClass,
-    Path,
     eta,
     kl_bernoulli,
     log_loss,
@@ -27,7 +26,6 @@ __all__ = [
     "LAMBDA_STAR",
     "BinaryTree",
     "ExpertClass",
-    "Path",
     "eta",
     "kl_bernoulli",
     "log_loss",

@@ -9,9 +9,7 @@ error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
-import os
 import re
 import sys
 
@@ -163,14 +161,7 @@ def _flag_present(argv, flag):
 
 
 def _add_common(sp):
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument(
-        "--workers",
-        type=int,
-        default=int(os.environ.get("LOGLOSS_LAB_WORKERS", "1")),
-    )
     sp.add_argument("--out", default=None)
-    sp.add_argument("--resolution", type=float, default=1e-3)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--config", default=None, help="JSON file of defaults")
     sp.add_argument(
@@ -299,14 +290,10 @@ def _cmd_verify(args):
         check_ids = list(verify_mod.CHECK_IDS)
     else:
         check_ids = args.checks.split(",")
-    run = lambda cid: verify_mod.run_check(
-        cid, resolution=args.resolution, seed=args.seed
-    )
-    if args.workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(args.workers) as pool:
-            reports = list(pool.map(run, check_ids))
-    else:
-        reports = [run(cid) for cid in check_ids]
+    reports = [
+        verify_mod.run_check(cid, resolution=args.resolution, seed=args.seed)
+        for cid in check_ids
+    ]
     for r in reports:
         point = "(" + ", ".join(_fmt(c) for c in r.worst_point) + ")"
         print(
@@ -399,6 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--class", dest="class_file", required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--samples", type=int, default=100)
+    sp.add_argument("--seed", type=int, default=0)
     _add_common(sp)
     sp.set_defaults(func=_cmd_dual)
 
@@ -414,12 +402,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--entropy", required=True, help='e.g. "pow:p=2,C=1"')
     sp.add_argument("--n-grid", required=True, help='e.g. "2^10..2^20"')
     sp.add_argument("--fit", action="store_true")
+    sp.add_argument("--seed", type=int, default=0)
     _add_common(sp)
     sp.set_defaults(func=_cmd_bounds)
 
     sp = sub.add_parser("verify", help="inequality certification checks")
     sp.add_argument("--all", action="store_true")
     sp.add_argument("--checks", default=None, help="comma-separated ids")
+    sp.add_argument("--resolution", type=float, default=1e-3)
+    sp.add_argument("--seed", type=int, default=0)
     _add_common(sp)
     sp.set_defaults(func=_cmd_verify)
 
@@ -430,6 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-grid", default="2^8..2^14")
     sp.add_argument("--n-seeds", type=int, default=11)
     sp.add_argument("--strategy", default="bayes")
+    sp.add_argument("--seed", type=int, default=0)
     _add_common(sp)
     sp.set_defaults(func=_cmd_assouad)
 

@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "ESTIMATION_CONSTANT",
     "LAMBDA_STAR",
-    "Path",
     "BinaryTree",
     "ExpertClass",
     "log_loss",
@@ -34,43 +33,6 @@ __all__ = [
 # sup_{p,v} psi(p, lam, v) <= 1.
 ESTIMATION_CONSTANT = (2.0 - math.log(2.0)) / (math.log(3.0) - math.log(2.0))
 LAMBDA_STAR = 1.0 / ESTIMATION_CONSTANT
-
-
-@dataclass(frozen=True)
-class Path:
-    """A prefix of binary outcomes, stored as a bitmask plus length.
-
-    Bit ``t`` (0-based, least significant first) is the outcome of round
-    ``t + 1``.
-    """
-
-    bits: int = 0
-    length: int = 0
-
-    def __post_init__(self):
-        if self.length < 0:
-            raise ValueError("path length must be nonnegative")
-        if self.bits >> self.length:
-            raise ValueError("bits set beyond path length")
-
-    def append(self, outcome: int) -> "Path":
-        if outcome not in (0, 1):
-            raise ValueError("outcome must be 0 or 1")
-        return Path(self.bits | (outcome << self.length), self.length + 1)
-
-    def outcome(self, t: int) -> int:
-        """Outcome of round t (1-based)."""
-        if not 1 <= t <= self.length:
-            raise IndexError("round out of range")
-        return (self.bits >> (t - 1)) & 1
-
-    def prefix(self, length: int) -> "Path":
-        if length > self.length:
-            raise IndexError("prefix longer than path")
-        return Path(self.bits & ((1 << length) - 1), length)
-
-    def as_tuple(self) -> tuple:
-        return tuple((self.bits >> i) & 1 for i in range(self.length))
 
 
 class BinaryTree:
@@ -132,13 +94,16 @@ class BinaryTree:
         if not 0 <= prefix < (1 << (t - 1)):
             raise IndexError("prefix out of range for round")
 
-    def values_on_path(self, path_bits: int) -> np.ndarray:
-        """Values a_1(y), ..., a_n(y) along the path encoded by path_bits."""
-        idx = [
-            self.node_index(t, path_bits & ((1 << (t - 1)) - 1))
-            for t in range(1, self.depth + 1)
-        ]
-        return self.values[idx]
+    def level(self, t: int) -> np.ndarray:
+        """Writable view of round t's node values, in prefix order.
+
+        Node q of round t has children q (outcome 0) and q + 2**(t-1)
+        (outcome 1) at round t+1, so round t+1's level is the outcome-0
+        children of round t followed by its outcome-1 children.
+        """
+        if not 1 <= t <= self.depth:
+            raise IndexError("round out of range")
+        return self.values[(1 << (t - 1)) - 1 : (1 << t) - 1]
 
     def copy(self) -> "BinaryTree":
         return BinaryTree(self.depth, values=self.values)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BinaryTree, ExpertClass
+from .core import BinaryTree, ExpertClass, path_node_indices
 
 __all__ = [
     "RestrictedClass",
@@ -71,13 +71,6 @@ def restrict(expert_class: ExpertClass, x: BinaryTree) -> RestrictedClass:
     return RestrictedClass(context_tree=x, value_trees=trees)
 
 
-def _path_prefix_indices(depth: int, y_bits: int):
-    return [
-        BinaryTree.node_index(t, y_bits & ((1 << (t - 1)) - 1))
-        for t in range(1, depth + 1)
-    ]
-
-
 def cover_verify(rc: RestrictedClass, V: SequentialCover) -> bool:
     """Exhaustive check of the cover condition over all paths and experts."""
     if any(v.depth != rc.depth for v in V.elements):
@@ -87,8 +80,7 @@ def cover_verify(rc: RestrictedClass, V: SequentialCover) -> bool:
     gvals = rc.value_matrix()
     vvals = np.stack([v.values.astype(float) for v in V.elements])
     gamma = V.scale + _TOL
-    for y_bits in range(1 << rc.depth):
-        idx = _path_prefix_indices(rc.depth, y_bits)
+    for idx in path_node_indices(rc.depth):
         g_on_path = gvals[:, idx]  # (experts, depth)
         v_on_path = vvals[:, idx]  # (elements, depth)
         dist = np.abs(g_on_path[:, None, :] - v_on_path[None, :, :]).max(axis=2)
@@ -122,8 +114,7 @@ class _GroupState:
 def _demands(rc: RestrictedClass):
     gvals = rc.value_matrix()
     out = []
-    for y_bits in range(1 << rc.depth):
-        idx = np.array(_path_prefix_indices(rc.depth, y_bits))
+    for idx in path_node_indices(rc.depth):
         for g in range(rc.n_experts):
             out.append((idx, gvals[g, idx]))
     return out
@@ -250,8 +241,7 @@ def empirical_entropy_lower(rc: RestrictedClass, gamma: float) -> float:
     vectors on that path; lower-bounds the sequential entropy."""
     gvals = rc.value_matrix()
     best = 0
-    for y_bits in range(1 << rc.depth):
-        idx = _path_prefix_indices(rc.depth, y_bits)
+    for idx in path_node_indices(rc.depth):
         size = _min_linf_cover_size(gvals[:, idx], gamma)
         best = max(best, size)
     return math.log(best) if best > 0 else 0.0

@@ -190,45 +190,55 @@ def optimal_prediction(g: GameInstance, history, x) -> float:
     return float(np.exp(w1 - np.logaddexp(w0, w1)))
 
 
+def _child_histories(histories, xs):
+    """Histories of the next level: every node's outcome-0 child, then its
+    outcome-1 child (see BinaryTree.level)."""
+    return [h + ((x, y),) for y in (0, 1) for h, x in zip(histories, xs)]
+
+
 def dual_value(g: GameInstance, s: DualStrategy) -> float:
     """Expected regret when the adversary commits to (x, p) trees and the
-    player best-responds with p-hat = p; zero-probability paths skipped."""
+    player best-responds with p-hat = p; paths through a branch of
+    probability exactly zero are skipped.
+
+    One pass over the tree levels carries, for every prefix, the path
+    probability, the player's and each expert's cumulative loss, and
+    whether no branch so far was exactly zero.  Availability is checked
+    only at nodes such a prefix reaches.
+    """
     n = g.horizon
     if s.context_tree.depth != n:
         raise ValueError("tree depth must equal the horizon")
     if (1 << n) > (1 << 20):
         raise ValueError("too many paths for exact dual evaluation")
-    total = 0.0
-    for y_bits in range(1 << n):
-        prob = 1.0
-        player = 0.0
-        contexts = []
-        outcomes = []
-        history = ()
-        dead = False
-        for t in range(1, n + 1):
-            prefix = y_bits & ((1 << (t - 1)) - 1)
-            x = s.context_tree.get(t, prefix)
-            if x not in g.availability.available(history):
+    ec = g.expert_class
+    expert_loss = (log_loss(ec.experts, 0), log_loss(ec.experts, 1))
+    prob, player = np.ones(1), np.zeros(1)
+    experts = np.zeros((ec.n_experts, 1))
+    reached = np.ones(1, dtype=bool)
+    histories = [()]
+    for t in range(1, n + 1):
+        xs = s.context_tree.level(t)
+        p = s.prob_tree.level(t).astype(float)
+        cols = np.zeros(len(xs), dtype=int)
+        for q in np.flatnonzero(reached):
+            if xs[q] not in g.availability.available(histories[q]):
                 raise ValueError(
                     "context tree inconsistent with availability rule"
                 )
-            p = float(s.prob_tree.get(t, prefix))
-            y = (y_bits >> (t - 1)) & 1
-            branch = p if y else 1.0 - p
-            if branch == 0.0:
-                dead = True
-                break
-            prob *= branch
-            player += log_loss(p, y)
-            contexts.append(x)
-            outcomes.append(y)
-            history = history + ((x, y),)
-        if dead:
-            continue
-        best = _best_expert_loss(g.expert_class, contexts, outcomes)
-        total += prob * (player - best)
-    return total
+            cols[q] = ec.context_index(xs[q])
+        branch = (1.0 - p, p)
+        prob = np.concatenate([prob * b for b in branch])
+        player = np.concatenate([player + log_loss(p, y) for y in (0, 1)])
+        experts = np.concatenate(
+            [experts + loss[:, cols] for loss in expert_loss], axis=1
+        )
+        reached = np.concatenate([reached & (b != 0.0) for b in branch])
+        if t < n:
+            histories = _child_histories(histories, xs)
+    best = experts[:, reached].min(axis=0)
+    with np.errstate(invalid="ignore"):
+        return float(np.sum(prob[reached] * (player[reached] - best)))
 
 
 def random_dual_strategy(g: GameInstance, rng) -> DualStrategy:
@@ -239,14 +249,14 @@ def random_dual_strategy(g: GameInstance, rng) -> DualStrategy:
     # Context at (t, prefix) must be valid for every history reaching the
     # node; with the built-in rules availability depends on outcomes only,
     # so picking per-prefix (outcomes determine the prefix) is consistent.
+    histories = [()]
     for t in range(1, n + 1):
-        for q in range(1 << (t - 1)):
-            hist = tuple(
-                (ctx.get(u, q & ((1 << (u - 1)) - 1)), (q >> (u - 1)) & 1)
-                for u in range(1, t)
-            )
-            options = g.availability.available(hist)
-            ctx.set(t, q, options[rng.integers(len(options))])
+        xs = ctx.level(t)
+        for q, history in enumerate(histories):
+            options = g.availability.available(history)
+            xs[q] = options[rng.integers(len(options))]
+        if t < n:
+            histories = _child_histories(histories, xs)
     return DualStrategy(context_tree=ctx, prob_tree=prob)
 
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from logloss_lab import verify as verify_mod
 from logloss_lab.cli import _parse_entropy, _parse_n_grid, main
 from logloss_lab.core import ExpertClass
 from logloss_lab.game import GameInstance, exact_minimax
@@ -150,3 +151,35 @@ def test_unknown_class_file_keys(tmp_path):
     path.write_text(json.dumps({"contexts": [0], "experts": [[0.5]],
                                 "extra": 1}))
     assert main(["minimax", "--class", str(path), "--n", "2"]) == 2
+
+
+def test_flags_belong_to_their_subcommands(class_file, capsys):
+    # only verify reads --resolution; minimax, cover take no --seed
+    with pytest.raises(SystemExit) as exc:
+        main(["minimax", "--class", class_file, "--n", "2",
+              "--resolution", "1e-3"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["cover", "--seed", "1"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--checks", "SC_EDGE", "--workers", "2"])
+    assert exc.value.code == 2
+    assert main(["verify", "--checks", "SC_EDGE", "--resolution", "1e-3",
+                 "--seed", "3"]) == 0
+
+
+def test_exit_code_failed_check(monkeypatch, capsys):
+    failing = verify_mod.CheckReport(
+        check_id="SC_EDGE", grid_spec="stub", worst_slack=-1.0,
+        worst_point=(0.0,), tolerance=1e-9, passed=False,
+    )
+    monkeypatch.setattr(verify_mod, "run_check", lambda cid, **kw: failing)
+    assert main(["verify", "--checks", "SC_EDGE"]) == 1
+    assert "pass=False" in capsys.readouterr().out
+
+
+def test_exit_code_configuration_errors(capsys):
+    assert main(["verify", "--checks", "all"]) == 2
+    assert main(["verify", "--checks", "SC_EDGE,NO_SUCH_CHECK"]) == 2
+    assert "unknown check_id" in capsys.readouterr().err

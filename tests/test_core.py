@@ -8,7 +8,6 @@ from logloss_lab.core import (
     LAMBDA_STAR,
     BinaryTree,
     ExpertClass,
-    Path,
     clip_prob,
     eta,
     kl_bernoulli,
@@ -26,26 +25,6 @@ def test_constants():
     assert LAMBDA_STAR == pytest.approx(1.0 / ESTIMATION_CONSTANT, abs=1e-15)
 
 
-def test_path_append_and_outcome():
-    p = Path()
-    p = p.append(1).append(0).append(1)
-    assert p.length == 3
-    assert [p.outcome(t) for t in (1, 2, 3)] == [1, 0, 1]
-    assert p.as_tuple() == (1, 0, 1)
-    assert p.prefix(2).as_tuple() == (1, 0)
-    with pytest.raises(ValueError):
-        p.append(2)
-    with pytest.raises(IndexError):
-        p.outcome(4)
-
-
-def test_path_validation():
-    with pytest.raises(ValueError):
-        Path(bits=4, length=2)
-    with pytest.raises(ValueError):
-        Path(length=-1)
-
-
 def test_tree_indexing():
     tree = BinaryTree(3)
     assert tree.values.shape == (7,)
@@ -56,11 +35,17 @@ def test_tree_indexing():
             k += 1.0
     assert list(tree.values) == list(range(7))
     # path 1,1: sees root, right child of round 2, node (3, prefix=3)
-    assert list(tree.values_on_path(0b11)) == [0.0, 2.0, 6.0]
+    assert list(tree.values[path_node_indices(3)[0b11]]) == [0.0, 2.0, 6.0]
+    # levels are writable views in prefix order
+    assert list(tree.level(2)) == [1.0, 2.0]
+    tree.level(3)[2] = -1.0
+    assert tree.get(3, 2) == -1.0
     with pytest.raises(IndexError):
         tree.get(4, 0)
     with pytest.raises(IndexError):
         tree.get(2, 2)
+    with pytest.raises(IndexError):
+        tree.level(4)
 
 
 def test_tree_prefix_dependence():
@@ -70,19 +55,29 @@ def test_tree_prefix_dependence():
         return t * 100 + sum(b << i for i, b in enumerate(bits))
 
     tree = BinaryTree.from_function(4, encode)
+    idx = path_node_indices(4)
     for y in range(16):
-        vals = tree.values_on_path(y)
+        vals = tree.values[idx[y]]
         for t, v in enumerate(vals, start=1):
             prefix = y & ((1 << (t - 1)) - 1)
             assert v == t * 100 + prefix
+    # level t+1 lists the outcome-0 children of level t, then outcome-1
+    for t in range(1, 4):
+        parent, child = tree.level(t), tree.level(t + 1)
+        half = len(parent)
+        assert list(child[:half] - 100) == list(parent)
+        assert list(child[half:] - 100 - half) == list(parent)
 
 
 def test_path_node_indices_matches_tree():
     depth = 5
     tree = BinaryTree(depth, values=np.arange((1 << depth) - 1, dtype=float))
     idx = path_node_indices(depth)
+    assert idx.shape == (1 << depth, depth)
     for y in range(1 << depth):
-        assert list(tree.values_on_path(y)) == list(tree.values[idx[y]])
+        for t in range(1, depth + 1):
+            prefix = y % (1 << (t - 1))
+            assert tree.values[idx[y, t - 1]] == tree.get(t, prefix)
 
 
 def test_expert_class_basics():

@@ -4,7 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from logloss_lab.core import BinaryTree, ExpertClass
+from logloss_lab.core import (
+    BinaryTree,
+    ExpertClass,
+    log_loss,
+    path_node_indices,
+)
 from logloss_lab.game import (
     BayesMixture,
     ConstantStrategy,
@@ -28,18 +33,55 @@ from logloss_lab.game import (
 def shtarkov_oracle(ec, context_assignment, n):
     """log sum over paths of the best expert's likelihood for a fixed
     context tree given as a flat node -> context list."""
+    idx = path_node_indices(n)
     total = 0.0
     for y in range(1 << n):
         best = 0.0
         for i in range(ec.n_experts):
             lik = 1.0
             for t in range(1, n + 1):
-                x = context_assignment[(1 << (t - 1)) - 1 + (y & ((1 << (t - 1)) - 1))]
+                x = context_assignment[idx[y, t - 1]]
                 f = ec.value(i, x)
                 lik *= f if (y >> (t - 1)) & 1 else 1.0 - f
             best = max(best, lik)
         total += best
     return math.log(total)
+
+
+def reference_dual_value(g, s):
+    """dual_value as a per-path loop: walk every outcome path round by
+    round and stop at the first branch of probability exactly zero."""
+    n = g.horizon
+    total = 0.0
+    for y_bits in range(1 << n):
+        prob, player = 1.0, 0.0
+        experts = np.zeros(g.expert_class.n_experts)
+        history = ()
+        for t in range(1, n + 1):
+            prefix = y_bits % (1 << (t - 1))
+            x = s.context_tree.get(t, prefix)
+            if x not in g.availability.available(history):
+                raise ValueError("context tree inconsistent")
+            p = float(s.prob_tree.get(t, prefix))
+            y = (y_bits >> (t - 1)) & 1
+            branch = p if y else 1.0 - p
+            if branch == 0.0:
+                break
+            prob *= branch
+            player += log_loss(p, y)
+            experts += log_loss(g.expert_class.column(x), y)
+            history = history + ((x, y),)
+        else:
+            total += prob * (player - float(np.min(experts)))
+    return total
+
+
+def _with_exact_zeros_and_ones(rng, size):
+    v = rng.uniform(size=size)
+    r = rng.uniform(size=size)
+    v[r < 0.15] = 0.0
+    v[r > 0.85] = 1.0
+    return v
 
 
 def brute_force_minimax(ec, n):
@@ -226,3 +268,80 @@ def test_worst_case_search_tiebreak_deterministic():
     seq2, r2 = worst_case_search(g, ConstantStrategy(0.5))
     assert seq1 == seq2
     assert r1 == r2
+
+
+def _random_dual_instance(rng, kind):
+    n = int(rng.integers(1, 7))
+    if kind == "previous":
+        contexts = [
+            c for m in range(n) for c in itertools.product((0, 1), repeat=m)
+        ]
+        ec = ExpertClass(
+            contexts=contexts,
+            experts=_with_exact_zeros_and_ones(rng, (3, len(contexts))),
+        )
+        g = GameInstance(
+            horizon=n, expert_class=ec, availability=PreviousOutcomes()
+        )
+    else:
+        n_experts = int(rng.integers(1, 5))
+        ec = ExpertClass(
+            contexts=list(range(kind)),
+            experts=_with_exact_zeros_and_ones(rng, (n_experts, kind)),
+        )
+        g = GameInstance(horizon=n, expert_class=ec)
+    s = random_dual_strategy(g, rng)
+    s.prob_tree.values[:] = _with_exact_zeros_and_ones(
+        rng, s.prob_tree.values.size
+    )
+    return g, s
+
+
+@pytest.mark.parametrize("kind", [1, 2, "previous"])
+def test_dual_value_matches_per_path_loop(kind):
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        g, s = _random_dual_instance(rng, kind)
+        got, ref = dual_value(g, s), reference_dual_value(g, s)
+        if math.isfinite(ref):
+            assert got == pytest.approx(ref, rel=1e-12, abs=1e-300)
+        else:
+            assert (math.isnan(got) and math.isnan(ref)) or got == ref
+
+
+def test_dual_unavailable_context():
+    ec = ExpertClass(contexts=["a", "b"], experts=[[0.3, 0.6], [0.7, 0.2]])
+    g = GameInstance(horizon=2, expert_class=ec)
+    # node (2, prefix 1) shows "z", which the rule never offers
+    ctx = BinaryTree(2, values=np.array(["a", "b", "z"], dtype=object))
+    half = BinaryTree(2, fill=0.5)
+    with pytest.raises(ValueError):
+        dual_value(g, DualStrategy(context_tree=ctx, prob_tree=half))
+    # with p = 0 at the root, outcome 1 and the node below it are never reached
+    prob = BinaryTree(2, values=[0.0, 0.5, 0.5])
+    known = BinaryTree(2, values=np.array(["a", "b", "a"], dtype=object))
+    expected = reference_dual_value(
+        g, DualStrategy(context_tree=known, prob_tree=prob)
+    )
+    got = dual_value(g, DualStrategy(context_tree=ctx, prob_tree=prob))
+    assert got == pytest.approx(expected, abs=1e-15)
+    # path 1, 1 has probability 1e-400, which underflows to 0, yet it is
+    # reached: its round-3 node must still be checked
+    ctx3 = BinaryTree(3, values=np.array(["a"] * 6 + ["z"], dtype=object))
+    tiny = BinaryTree(3, values=[1e-200, 0.5, 1e-200, 0.5, 0.5, 0.5, 0.5])
+    g3 = GameInstance(horizon=3, expert_class=ec)
+    with pytest.raises(ValueError):
+        dual_value(g3, DualStrategy(context_tree=ctx3, prob_tree=tiny))
+
+
+def test_random_dual_strategy_pinned_draw():
+    ec = ExpertClass(
+        contexts=["a", "b", "c"], experts=[[0.2, 0.5, 0.9], [0.6, 0.1, 0.4]]
+    )
+    g = GameInstance(horizon=3, expert_class=ec)
+    s = random_dual_strategy(g, np.random.default_rng(2024))
+    # the prob tree is drawn first, then one context per node in flat order
+    assert np.array_equal(
+        s.prob_tree.values, np.random.default_rng(2024).uniform(size=7)
+    )
+    assert list(s.context_tree.values) == ["a", "a", "c", "b", "a", "a", "b"]
