@@ -1,6 +1,6 @@
 """Numerical laboratory for minimax regret under logarithmic loss."""
 
-from . import assouad, bounds, cli, core, cover, game, verify
+from . import assouad, bounds, core, cover, game, verify
 from .core import (
     ESTIMATION_CONSTANT,
     LAMBDA_STAR,
@@ -17,7 +17,6 @@ from .game import GameInstance, dual_value, exact_minimax
 __all__ = [
     "assouad",
     "bounds",
-    "cli",
     "core",
     "cover",
     "game",

@@ -3,7 +3,7 @@
 Subcommands wrap the library modules with deterministic seeding and
 machine-readable output (JSON or CSV, floats at 12 significant digits).
 Exit codes: 0 success, 1 a verification check failed, 2 configuration
-error.
+or usage error; ``main`` returns the code rather than exiting.
 """
 
 from __future__ import annotations
@@ -441,6 +441,8 @@ def main(argv=None) -> int:
                           sort_keys=True)
                 f.write("\n")
         return args.func(args)
+    except SystemExit as exc:  # from argparse: 2 usage error, 0 --help
+        return exc.code
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

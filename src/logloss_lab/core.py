@@ -122,14 +122,17 @@ def path_node_indices(depth: int) -> np.ndarray:
 
 @dataclass
 class ExpertClass:
-    """A finite family of experts, each a table context-id -> probability."""
+    """A finite family of experts, each a table context-id -> probability.
+
+    ``experts`` is read-only; ``log_lik[y]`` = log P(y | expert, context)."""
 
     contexts: list
     experts: np.ndarray  # shape (n_experts, n_contexts)
+    log_lik: np.ndarray = field(init=False, repr=False)
     _index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.experts = np.asarray(self.experts, dtype=float)
+        self.experts = np.array(self.experts, dtype=float)
         if self.experts.ndim != 2:
             raise ValueError("experts must be a 2-D table")
         if self.experts.shape[0] == 0:
@@ -141,6 +144,12 @@ class ExpertClass:
         self._index = {c: i for i, c in enumerate(self.contexts)}
         if len(self._index) != len(self.contexts):
             raise ValueError("duplicate context ids")
+        self.experts.flags.writeable = False
+        with np.errstate(divide="ignore"):
+            self.log_lik = np.stack(
+                [np.log1p(-self.experts), np.log(self.experts)]
+            )
+        self.log_lik.flags.writeable = False
 
     @property
     def n_experts(self) -> int:
@@ -168,6 +177,14 @@ class ExpertClass:
     def column(self, context) -> np.ndarray:
         """All expert values at one context."""
         return self.experts[:, self.context_index(context)]
+
+    def history_log_lik(self, history, start=0.0) -> np.ndarray:
+        """start plus each expert's log likelihood of a sequence of
+        (context, outcome) pairs, summed round by round."""
+        total = np.zeros(self.n_experts) + start
+        for x, y in history:
+            total += self.log_lik[y, :, self.context_index(x)]
+        return total
 
     @classmethod
     def constants(cls, probs) -> "ExpertClass":

@@ -123,9 +123,9 @@ def _demands(rc: RestrictedClass):
 def _groups_to_cover(rc: RestrictedClass, groups, gamma) -> SequentialCover:
     elements = []
     for grp in groups:
-        mid = np.where(
-            np.isfinite(grp.lo), (grp.lo + grp.hi) / 2.0, 0.5
-        )
+        touched = np.isfinite(grp.lo)
+        mid = np.full(grp.lo.shape, 0.5)
+        mid[touched] = (grp.lo[touched] + grp.hi[touched]) / 2.0
         elements.append(BinaryTree(rc.depth, values=mid))
     return SequentialCover(elements=elements, scale=gamma)
 
@@ -190,9 +190,10 @@ def sequential_cover_exact(rc: RestrictedClass, gamma: float):
     return best["size"], _groups_to_cover(rc, groups, gamma)
 
 
-def _min_linf_cover_size(points: np.ndarray, gamma: float) -> int:
-    """Minimal number of L-inf balls of radius gamma covering a finite
-    point set; exact subset DP for <= 12 points, first-fit beyond."""
+def _linf_cover_size_lower(points: np.ndarray, gamma: float) -> int:
+    """Lower bound on the number of L-inf balls of radius gamma covering a
+    finite point set: the exact minimum by subset DP for <= 12 points, a
+    greedy packing at separation > 2 gamma beyond."""
     m = points.shape[0]
     if m == 0:
         return 0
@@ -223,26 +224,28 @@ def _min_linf_cover_size(points: np.ndarray, gamma: float) -> int:
                         dp[mask] = cand
                 sub = (sub - 1) & mask
         return int(dp[full - 1])
-    groups = []
+    return _greedy_packing_size(points, gamma)
+
+
+def _greedy_packing_size(points, gamma: float) -> int:
+    """Size of a first-fit packing: points pairwise more than 2 gamma apart
+    in L-inf.  No two of them fit in one radius-gamma ball, so this
+    lower-bounds the minimal cover."""
+    packing = []
     for pt in points:
-        for grp in groups:
-            lo = np.minimum(grp[0], pt)
-            hi = np.maximum(grp[1], pt)
-            if np.all(hi - lo <= two_gamma):
-                grp[0], grp[1] = lo, hi
-                break
-        else:
-            groups.append([pt.copy(), pt.copy()])
-    return len(groups)
+        if all(np.max(np.abs(pt - q)) > 2 * gamma + _TOL for q in packing):
+            packing.append(pt)
+    return len(packing)
 
 
 def empirical_entropy_lower(rc: RestrictedClass, gamma: float) -> float:
     """Max over paths of the log minimal L-inf cover of the expert value
-    vectors on that path; lower-bounds the sequential entropy."""
+    vectors on that path (a packing lower bound past 12 experts);
+    lower-bounds the sequential entropy."""
     gvals = rc.value_matrix()
     best = 0
     for idx in path_node_indices(rc.depth):
-        size = _min_linf_cover_size(gvals[:, idx], gamma)
+        size = _linf_cover_size_lower(gvals[:, idx], gamma)
         best = max(best, size)
     return math.log(best) if best > 0 else 0.0
 
@@ -389,12 +392,7 @@ def _packing_and_cover(points: np.ndarray, gamma: float):
     for pt in points:
         key = tuple(np.floor(pt / (2 * gamma) + 1e-9).astype(int))
         cells.setdefault(key, pt)
-    reps = list(cells.values())
-    packing = []
-    for pt in reps:
-        if all(np.max(np.abs(pt - q)) > 2 * gamma + _TOL for q in packing):
-            packing.append(pt)
-    return len(packing), len(cells)
+    return _greedy_packing_size(cells.values(), gamma), len(cells)
 
 
 def entropy_curve_estimate(

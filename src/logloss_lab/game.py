@@ -130,10 +130,8 @@ class RegretTrace:
 
 
 def _best_expert_loss(ec: ExpertClass, contexts, outcomes) -> float:
-    total = np.zeros(ec.n_experts)
-    for x, y in zip(contexts, outcomes):
-        total += log_loss(ec.column(x), y)
-    return float(np.min(total))
+    # 0 - max, not -max: a perfect expert's loss is +0.0
+    return 0.0 - float(np.max(ec.history_log_lik(zip(contexts, outcomes))))
 
 
 def _check_instance(g: GameInstance):
@@ -143,33 +141,27 @@ def _check_instance(g: GameInstance):
 
 def _value(g: GameInstance, history: tuple, loglik: np.ndarray) -> float:
     """W(history); loglik holds each expert's cumulative log likelihood."""
-    t = len(history)
-    if t == g.horizon:
+    if len(history) == g.horizon:
         return float(np.max(loglik))
+    return max(
+        np.logaddexp(*_children(g, history, loglik, x))
+        for x in g.availability.available(history)
+    )
+
+
+def _children(g: GameInstance, history: tuple, loglik: np.ndarray, x):
+    """(W0, W1): the values of history's two children under context x."""
     ec = g.expert_class
-    best = -math.inf
-    for x in g.availability.available(history):
-        col = ec.column(x)
-        with np.errstate(divide="ignore"):
-            w0 = _value(g, history + ((x, 0),), loglik + np.log1p(-col))
-            w1 = _value(g, history + ((x, 1),), loglik + np.log(col))
-        best = max(best, np.logaddexp(w0, w1))
-    return best
+    lik = ec.log_lik[:, :, ec.context_index(x)]
+    return tuple(
+        _value(g, history + ((x, y),), loglik + lik[y]) for y in (0, 1)
+    )
 
 
 def exact_minimax(g: GameInstance) -> float:
     """Value of the alternating sup/inf game, via backward induction."""
     _check_instance(g)
     return _value(g, (), np.zeros(g.expert_class.n_experts))
-
-
-def _history_loglik(g: GameInstance, history) -> np.ndarray:
-    loglik = np.zeros(g.expert_class.n_experts)
-    for x, y in history:
-        col = g.expert_class.column(x)
-        with np.errstate(divide="ignore"):
-            loglik += np.log(col) if y else np.log1p(-col)
-    return loglik
 
 
 def optimal_prediction(g: GameInstance, history, x) -> float:
@@ -180,11 +172,8 @@ def optimal_prediction(g: GameInstance, history, x) -> float:
         raise ValueError("history already has full length")
     if x not in g.availability.available(history):
         raise ValueError(f"context {x!r} not available after this history")
-    loglik = _history_loglik(g, history)
-    col = g.expert_class.column(x)
-    with np.errstate(divide="ignore"):
-        w0 = _value(g, history + ((x, 0),), loglik + np.log1p(-col))
-        w1 = _value(g, history + ((x, 1),), loglik + np.log(col))
+    loglik = g.expert_class.history_log_lik(history)
+    w0, w1 = _children(g, history, loglik, x)
     if w0 == -math.inf and w1 == -math.inf:
         raise ValueError("both continuation values are -inf")
     return float(np.exp(w1 - np.logaddexp(w0, w1)))
@@ -212,7 +201,6 @@ def dual_value(g: GameInstance, s: DualStrategy) -> float:
     if (1 << n) > (1 << 20):
         raise ValueError("too many paths for exact dual evaluation")
     ec = g.expert_class
-    expert_loss = (log_loss(ec.experts, 0), log_loss(ec.experts, 1))
     prob, player = np.ones(1), np.zeros(1)
     experts = np.zeros((ec.n_experts, 1))
     reached = np.ones(1, dtype=bool)
@@ -231,7 +219,7 @@ def dual_value(g: GameInstance, s: DualStrategy) -> float:
         prob = np.concatenate([prob * b for b in branch])
         player = np.concatenate([player + log_loss(p, y) for y in (0, 1)])
         experts = np.concatenate(
-            [experts + loss[:, cols] for loss in expert_loss], axis=1
+            [experts - lik[:, cols] for lik in ec.log_lik], axis=1
         )
         reached = np.concatenate([reached & (b != 0.0) for b in branch])
         if t < n:
@@ -290,11 +278,7 @@ class BayesMixture:
         self.log_prior = np.log(prior)
 
     def predict(self, history, x) -> float:
-        logw = self.log_prior.copy()
-        for xh, yh in history:
-            col = self.expert_class.column(xh)
-            with np.errstate(divide="ignore"):
-                logw += np.log(col) if yh else np.log1p(-col)
+        logw = self.expert_class.history_log_lik(history, self.log_prior)
         logw -= np.max(logw)
         w = np.exp(logw)
         return float(np.dot(w, self.expert_class.column(x)) / w.sum())
@@ -384,32 +368,29 @@ def run_strategy(g: GameInstance, strategy, adversary) -> RegretTrace:
 def worst_case_search(g: GameInstance, strategy):
     """Exhaustively find the (context, outcome) sequence maximizing the
     strategy's regret; ties broken by the lexicographically smallest
-    sequence (context index first, then outcome)."""
+    sequence (context index first, then outcome).  Each expert's loss is
+    carried down the recursion, so a leaf costs one min."""
     k = g.availability.max_contexts()
     if (2 * k) ** g.horizon > SEARCH_GUARD:
         raise ValueError("instance too large for exhaustive search")
 
+    ec = g.expert_class
     best = {"regret": -math.inf, "seq": None}
 
-    def recurse(history, player_loss):
-        t = len(history)
-        if t == g.horizon:
-            contexts = [x for x, _ in history]
-            outcomes = [y for _, y in history]
-            regret = player_loss - _best_expert_loss(
-                g.expert_class, contexts, outcomes
-            )
+    def recurse(history, player_loss, expert_loss):
+        if len(history) == g.horizon:
+            regret = player_loss - float(np.min(expert_loss))
             # strict improvement keeps the lexicographically first maximizer
             if regret > best["regret"] + 1e-15:
                 best["regret"] = regret
-                best["seq"] = (contexts, outcomes)
+                best["seq"] = tuple(list(c) for c in zip(*history))
             return
         for x in g.availability.available(history):
             p_hat = strategy.predict(history, x)
+            lik = ec.log_lik[:, :, ec.context_index(x)]
             for y in (0, 1):
-                recurse(
-                    history + ((x, y),), player_loss + log_loss(p_hat, y)
-                )
+                recurse(history + ((x, y),), player_loss + log_loss(p_hat, y),
+                        expert_loss - lik[y])
 
-    recurse((), 0.0)
+    recurse((), 0.0, np.zeros(ec.n_experts))
     return best["seq"], best["regret"]

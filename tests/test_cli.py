@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import logloss_lab
 from logloss_lab import verify as verify_mod
 from logloss_lab.cli import _parse_entropy, _parse_n_grid, main
 from logloss_lab.core import ExpertClass
@@ -155,18 +159,27 @@ def test_unknown_class_file_keys(tmp_path):
 
 def test_flags_belong_to_their_subcommands(class_file, capsys):
     # only verify reads --resolution; minimax, cover take no --seed
-    with pytest.raises(SystemExit) as exc:
-        main(["minimax", "--class", class_file, "--n", "2",
-              "--resolution", "1e-3"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["cover", "--seed", "1"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--checks", "SC_EDGE", "--workers", "2"])
-    assert exc.value.code == 2
+    assert main(["minimax", "--class", class_file, "--n", "2",
+                 "--resolution", "1e-3"]) == 2
+    assert main(["cover", "--seed", "1"]) == 2
+    assert main(["verify", "--checks", "SC_EDGE", "--workers", "2"]) == 2
     assert main(["verify", "--checks", "SC_EDGE", "--resolution", "1e-3",
                  "--seed", "3"]) == 0
+    assert main(["--help"]) == 0
+    assert main(["minimax", "--help"]) == 0
+
+
+def test_module_entry_point_runs_without_warning():
+    # run the same package the tests import
+    src = os.path.dirname(os.path.dirname(logloss_lab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "logloss_lab.cli", "--help"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "usage" in proc.stdout
 
 
 def test_exit_code_failed_check(monkeypatch, capsys):

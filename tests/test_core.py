@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,33 @@ def test_expert_class_validation():
         ExpertClass(contexts=[0, 0], experts=[[0.5, 0.5]])
     with pytest.raises(ValueError):
         ExpertClass(contexts=[0], experts=np.empty((0, 1)))
+
+
+def test_expert_class_log_lik_table():
+    table = np.array([[0.0, 0.3, 1.0], [1.0, 0.0, 0.7]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ec = ExpertClass(contexts=["a", "b", "c"], experts=table)
+    assert ec.log_lik.shape == (2, 2, 3)
+    for y in (0, 1):
+        assert np.array_equal(ec.log_lik[y], -log_loss(table, y))
+    assert ec.log_lik[1, 0, 0] == ec.log_lik[0, 1, 0] == -math.inf
+    history = [("b", 1), ("a", 0), ("c", 1)]
+    expected = sum(-log_loss(ec.column(x), y) for x, y in history)
+    assert np.array_equal(ec.history_log_lik(history), expected)
+    assert np.array_equal(
+        ec.history_log_lik([], start=np.array([1.0, 2.0])), [1.0, 2.0]
+    )
+
+
+def test_expert_class_is_read_only():
+    table = np.array([[0.2, 0.4]])
+    ec = ExpertClass(contexts=[0, 1], experts=table)
+    table[0, 0] = 0.9  # the class holds its own copy
+    assert ec.value(0, 0) == 0.2
+    for arr in (ec.experts, ec.log_lik, ec.column(0)):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
 
 
 def test_constants_class():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,29 @@ def test_empirical_lower_bounds_exact():
         exact_size, _ = sequential_cover_exact(rc, gamma)
         lower = empirical_entropy_lower(rc, gamma)
         assert lower <= math.log(exact_size) + 1e-12
+
+
+def test_covers_emit_no_warning():
+    # a group that never touches a node used to average inf and -inf there
+    rng = np.random.default_rng(0)
+    ec = ExpertClass(contexts=[0, 1], experts=rng.uniform(size=(4, 2)))
+    x = BinaryTree(3, values=rng.integers(0, 2, size=7).astype(object))
+    rc = restrict(ec, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        greedy = sequential_cover_greedy(rc, 0.1)
+        _, exact = sequential_cover_exact(rc, 0.1)
+    for cov in (greedy, exact):
+        assert cover_verify(rc, cov)
+        assert all(np.all(np.isfinite(e.values)) for e in cov.elements)
+
+
+def test_empirical_lower_past_twelve_experts():
+    # 13 points: a first-fit cover needs 3 balls, the minimum is 2
+    few = [0.1, 0.25, 0.0, 0.35]
+    for probs in (few, few + [0.1] * 9):
+        rc = constant_context_class(probs, 1)
+        assert empirical_entropy_lower(rc, 0.1) == pytest.approx(math.log(2))
 
 
 def test_exact_guard():

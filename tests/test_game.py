@@ -270,6 +270,41 @@ def test_worst_case_search_tiebreak_deterministic():
     assert r1 == r2
 
 
+def brute_force_worst_case(g, strategy):
+    """worst_case_search as a loop over every (context, outcome) sequence in
+    lexicographic order, each scored from scratch with core.log_loss."""
+    ec = g.expert_class
+    pairs = [(x, y) for x in g.availability.available(()) for y in (0, 1)]
+    best_regret, best_seq = -math.inf, None
+    for seq in itertools.product(pairs, repeat=g.horizon):
+        player = 0.0
+        experts = np.zeros(ec.n_experts)
+        for t, (x, y) in enumerate(seq):
+            player += log_loss(strategy.predict(seq[:t], x), y)
+            experts += log_loss(ec.column(x), y)
+        regret = player - float(np.min(experts))
+        if regret > best_regret + 1e-15:
+            best_regret = regret
+            best_seq = ([x for x, _ in seq], [y for _, y in seq])
+    return best_seq, best_regret
+
+
+def test_worst_case_search_matches_brute_force():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        k = int(rng.integers(1, 3))
+        n = int(rng.integers(1, 5))
+        table = _with_exact_zeros_and_ones(rng, (int(rng.integers(2, 5)), k))
+        # row 0 stays inside (0, 1), so the posterior is defined everywhere
+        table[0] = rng.uniform(0.05, 0.95, size=k)
+        ec = ExpertClass(contexts=list(range(k)), experts=table)
+        g = GameInstance(horizon=n, expert_class=ec)
+        seq, regret = worst_case_search(g, BayesMixture(ec))
+        ref_seq, ref_regret = brute_force_worst_case(g, BayesMixture(ec))
+        assert seq == ref_seq
+        assert regret == pytest.approx(ref_regret, abs=1e-12)
+
+
 def _random_dual_instance(rng, kind):
     n = int(rng.integers(1, 7))
     if kind == "previous":
