@@ -89,88 +89,111 @@ def sample_dataset(ac: AssouadClass, v, n: int, seed: int):
     return list(zip(cids.tolist(), ys.tolist()))
 
 
-class ConstantStrategy:
-    def __init__(self, ac: AssouadClass, value: float = 0.5):
-        self.n_centers = ac.n_centers
-        self.value = float(value)
-
-    def predict(self, cid: int) -> float:
-        return self.value
-
-    def update(self, cid: int, y: int) -> None:
-        pass
-
-    def table(self) -> np.ndarray:
-        return np.full(self.n_centers, self.value)
-
-
-class EmpiricalMeanStrategy:
-    """Per-center running mean with add-one smoothing."""
+class _CountStrategy:
+    """A strategy whose prediction at a center depends only on that
+    center's counts; subclasses supply the vectorised rule
+    mean(ones, total), the prediction after `ones` ones in `total` visits.
+    """
 
     def __init__(self, ac: AssouadClass):
         self.ones = np.zeros(ac.n_centers)
         self.total = np.zeros(ac.n_centers)
 
+    def mean(self, ones, total):
+        raise NotImplementedError
+
     def predict(self, cid: int) -> float:
-        return (self.ones[cid] + 1.0) / (self.total[cid] + 2.0)
+        return float(self.mean(self.ones[cid], self.total[cid]))
 
     def update(self, cid: int, y: int) -> None:
         self.ones[cid] += y
         self.total[cid] += 1
 
     def table(self) -> np.ndarray:
-        return (self.ones + 1.0) / (self.total + 2.0)
+        return self.mean(self.ones, self.total)
 
 
-class SignClassBayes:
+class ConstantStrategy(_CountStrategy):
+    def __init__(self, ac: AssouadClass, value: float = 0.5):
+        super().__init__(ac)
+        self.value = float(value)
+
+    def mean(self, ones, total):
+        return np.full(np.shape(total), self.value)
+
+
+class EmpiricalMeanStrategy(_CountStrategy):
+    """Per-center running mean with add-one smoothing."""
+
+    def mean(self, ones, total):
+        return (ones + 1.0) / (total + 2.0)
+
+
+class SignClassBayes(_CountStrategy):
     """Exact Bayes mixture over the 2^N sign class, uniform prior.
 
     The prior is a product over centers and the likelihood factorizes by
-    center, so the posterior stays a product; per center it suffices to
-    track the two sign log-likelihoods, which keeps the mixture exact at
-    any N.
+    center, so the posterior stays a product; per center it is a softmax
+    of the two sign log-likelihoods, which depend only on the center's
+    counts, so the mixture stays exact at any N.
     """
 
     def __init__(self, ac: AssouadClass):
+        super().__init__(ac)
         self.hi = 4.0 * ac.epsilon
         self.lo = ac.epsilon
-        n = ac.n_centers
-        self.log_w_hi = np.zeros(n)
-        self.log_w_lo = np.zeros(n)
 
-    def _posterior_mean(self, lw_hi, lw_lo):
-        # softmax over the two signs at each center
+    def mean(self, ones, total):
+        zeros = total - ones
+        lw_hi = ones * math.log(self.hi) + zeros * math.log1p(-self.hi)
+        lw_lo = ones * math.log(self.lo) + zeros * math.log1p(-self.lo)
         m = np.maximum(lw_hi, lw_lo)
         w_hi = np.exp(lw_hi - m)
         w_lo = np.exp(lw_lo - m)
         return (w_hi * self.hi + w_lo * self.lo) / (w_hi + w_lo)
 
-    def predict(self, cid: int) -> float:
-        return float(
-            self._posterior_mean(self.log_w_hi[cid], self.log_w_lo[cid])
-        )
 
-    def update(self, cid: int, y: int) -> None:
-        if y == 1:
-            self.log_w_hi[cid] += math.log(self.hi)
-            self.log_w_lo[cid] += math.log(self.lo)
-        else:
-            self.log_w_hi[cid] += math.log1p(-self.hi)
-            self.log_w_lo[cid] += math.log1p(-self.lo)
+def _visits(strategy: _CountStrategy, dataset):
+    """Replay the dataset through a count-rule strategy's counts, in center
+    order.
 
-    def table(self) -> np.ndarray:
-        return self._posterior_mean(self.log_w_hi, self.log_w_lo)
+    Returns (rounds, centers, ys, ones, total), one entry per visit, sorted
+    by center and, within a center, by round (a stable argsort): the
+    visit's round index, center and outcome, and the center's counts just
+    before the visit.  Leaves the strategy's counts where updating it
+    round by round would.
+    """
+    data = np.asarray(dataset, dtype=np.int64).reshape(-1, 2)
+    rounds = np.argsort(data[:, 0], kind="stable")
+    centers, ys = data[rounds, 0], data[rounds, 1]
+    start = np.searchsorted(centers, centers)  # each center's first visit
+    seen = np.cumsum(ys) - ys
+    ones = strategy.ones[centers] + (seen - seen[start])
+    total = strategy.total[centers] + (np.arange(centers.size) - start)
+    n_centers = strategy.total.size
+    strategy.ones += np.bincount(centers, weights=ys, minlength=n_centers)
+    strategy.total += np.bincount(centers, minlength=n_centers)
+    return rounds, centers, ys, ones, total
 
 
 def online_to_batch(strategy, dataset, ac: AssouadClass) -> BatchEstimator:
-    """Average of the strategy's per-round prediction tables."""
-    if len(dataset) == 0:
+    """Average of the strategy's per-round prediction tables.
+
+    The strategy must be a count rule (`ones`, `total` and a vectorised
+    `mean(ones, total)`, as the strategies here are).  A visit in round r
+    changes its center's entry by the difference of the means after and
+    before it, and the next n - 1 - r tables show that change.
+    """
+    n = len(dataset)
+    if n == 0:
         return BatchEstimator(np.full(ac.n_centers, 0.5))
-    acc = np.zeros(ac.n_centers)
-    for cid, y in dataset:
-        acc += strategy.table()
-        strategy.update(cid, y)
-    return BatchEstimator(acc / len(dataset))
+    acc = n * strategy.table()
+    rounds, centers, ys, ones, total = _visits(strategy, dataset)
+    delta = strategy.mean(ones + ys, total + 1) - strategy.mean(ones, total)
+    acc += np.bincount(
+        centers, weights=delta * (n - 1 - rounds), minlength=ac.n_centers
+    )
+    return BatchEstimator(acc / n)
 
 
 def kl_risk(ac: AssouadClass, v, est: BatchEstimator) -> float:
@@ -197,15 +220,11 @@ def _sign_class_regret(ac: AssouadClass, strategy, dataset) -> float:
     The best competitor decomposes per center: each center independently
     picks whichever of {eps, 4 eps} has smaller total loss there.
     """
-    player = 0.0
-    ones = np.zeros(ac.n_centers)
-    total = np.zeros(ac.n_centers)
-    for cid, y in dataset:
-        pred = strategy.predict(cid)
-        player += log_loss(pred, y)
-        strategy.update(cid, y)
-        ones[cid] += y
-        total[cid] += 1
+    _, centers, ys, ones_before, total_before = _visits(strategy, dataset)
+    preds = strategy.mean(ones_before, total_before)
+    player = float(np.sum(log_loss(preds, ys)))
+    ones = np.bincount(centers, weights=ys, minlength=ac.n_centers)
+    total = np.bincount(centers, minlength=ac.n_centers)
     zeros = total - ones
     lo, hi = ac.epsilon, 4.0 * ac.epsilon
     loss_lo = -ones * math.log(lo) - zeros * math.log1p(-lo)
@@ -230,7 +249,8 @@ def scaling_experiment(
     """Median online regret against the sign class as n grows, with
     epsilon = n^{-1/(p+1)}/8 per cell; returns the log-log slope fit.
 
-    strategy_factory maps an AssouadClass to a fresh strategy.
+    strategy_factory maps an AssouadClass to a fresh strategy, which must
+    be a count rule (`ones`, `total` and a vectorised `mean(ones, total)`).
     """
     dim = int(round(p))
     if abs(dim - p) > 1e-12 or dim < 1:

@@ -250,6 +250,7 @@ def _cmd_cover(args):
         "curve": [
             {"gamma": g, "lower": lo, "upper": up} for g, lo, up in rows
         ],
+        "counts": curve.counts,
     }
     _emit(report, rows, ("gamma", "lower", "upper"), args)
     return 0

@@ -227,15 +227,18 @@ def _linf_cover_size_lower(points: np.ndarray, gamma: float) -> int:
     return _greedy_packing_size(points, gamma)
 
 
-def _greedy_packing_size(points, gamma: float) -> int:
+def _greedy_packing_size(points: np.ndarray, gamma: float) -> int:
     """Size of a first-fit packing: points pairwise more than 2 gamma apart
     in L-inf.  No two of them fit in one radius-gamma ball, so this
     lower-bounds the minimal cover."""
-    packing = []
+    separation = 2 * gamma + _TOL
+    packing = np.empty_like(points, dtype=float)
+    size = 0
     for pt in points:
-        if all(np.max(np.abs(pt - q)) > 2 * gamma + _TOL for q in packing):
-            packing.append(pt)
-    return len(packing)
+        if np.all(np.max(np.abs(pt - packing[:size]), axis=1) > separation):
+            packing[size] = pt
+            size += 1
+    return size
 
 
 def empirical_entropy_lower(rc: RestrictedClass, gamma: float) -> float:
@@ -385,35 +388,30 @@ class LipschitzGridFamily:
         return np.asarray(funcs, dtype=float) * step
 
 
-def _packing_and_cover(points: np.ndarray, gamma: float):
-    """(packing size at separation > 2 gamma, cell-cover size at radius
-    gamma) for a finite point set under L-inf."""
-    cells = {}
-    for pt in points:
-        key = tuple(np.floor(pt / (2 * gamma) + 1e-9).astype(int))
-        cells.setdefault(key, pt)
-    return _greedy_packing_size(cells.values(), gamma), len(cells)
-
-
 def entropy_curve_estimate(
     class_family: LipschitzGridFamily, gammas, n: int
 ) -> EntropyCurve:
-    """Tabulated entropy curve for the Lipschitz grid family, sandwiched
-    between a packing lower bound and a quantized-cell cover upper bound.
+    """Tabulated entropy curve for the Lipschitz grid family.
 
-    The fitted log-log slope against 1/gamma is stored as curve.slope.
+    At each scale the upper bound is the log of the number of enumerated
+    functions: they are pairwise distinct on the value lattice of step
+    2 gamma, so each is its own radius-gamma cover cell.  The lower bound
+    is the log of a first-fit packing at separation > 2 gamma, taken in
+    enumeration order.
+
+    The fitted log-log slope against 1/gamma is stored as curve.slope, and
+    the counts behind each scale as curve.counts, a list of
+    {"gamma", "functions", "packing"} dicts.
     """
     gammas = sorted(float(g) for g in gammas)
-    lowers, uppers = [], []
+    lowers, uppers, counts = [], [], []
     for g in gammas:
         values = class_family.enumerate_values(g)
-        if values.shape[0] == 1:
-            lowers.append(0.0)
-            uppers.append(0.0)
-            continue
-        pack, cover = _packing_and_cover(values, g)
-        lowers.append(math.log(max(pack, 1)))
-        uppers.append(math.log(max(cover, 1)))
+        functions = len(values)
+        packing = _greedy_packing_size(values, g)
+        lowers.append(math.log(packing))
+        uppers.append(math.log(functions))
+        counts.append({"gamma": g, "functions": functions, "packing": packing})
     curve = EntropyCurve.tabulated(gammas, lowers, uppers)
     mids = [
         0.5 * (lo + up) for lo, up in zip(curve.lowers, curve.uppers)
@@ -425,4 +423,5 @@ def entropy_curve_estimate(
     else:
         slope = float("nan")
     curve.slope = slope
+    curve.counts = counts
     return curve

@@ -264,7 +264,8 @@ class MinimaxOptimal:
 
 
 class BayesMixture:
-    """Posterior-weighted mean over the expert class."""
+    """Posterior-weighted mean over the expert class; the prior-weighted
+    mean once every expert has given a realized outcome probability 0."""
 
     def __init__(self, expert_class: ExpertClass, prior=None):
         self.expert_class = expert_class
@@ -279,8 +280,11 @@ class BayesMixture:
 
     def predict(self, history, x) -> float:
         logw = self.expert_class.history_log_lik(history, self.log_prior)
-        logw -= np.max(logw)
-        w = np.exp(logw)
+        top = np.max(logw)
+        if top == -math.inf:
+            logw = self.log_prior
+            top = np.max(logw)
+        w = np.exp(logw - top)
         return float(np.dot(w, self.expert_class.column(x)) / w.sum())
 
 

@@ -1,11 +1,16 @@
 """Acceptance gate: one test per headline criterion.
 
 Each test prints a single pass/fail line (run pytest with -s to see them
-inline) and then asserts, so a red criterion is visible both ways.
+inline), records the same verdict in build/acceptance.json (a list of
+{"criterion", "ok", "detail"} objects for the criteria run in this
+session), and then asserts, so a red criterion shows in the output, in
+the file and as a failed test.
 """
 
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,8 +48,17 @@ from logloss_lab.game import (
 from logloss_lab.verify import lambda_threshold_scan, run_check, sup_psi
 
 
+_VERDICTS_FILE = Path(__file__).resolve().parent.parent / "build" / "acceptance.json"
+_verdicts = {}  # criterion -> verdict, for this test session
+
+
 def _verdict(num: int, ok: bool, detail: str):
     print(f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {detail}")
+    _verdicts[num] = {"criterion": num, "ok": bool(ok), "detail": detail}
+    _VERDICTS_FILE.parent.mkdir(exist_ok=True)
+    _VERDICTS_FILE.write_text(
+        json.dumps([_verdicts[k] for k in sorted(_verdicts)], indent=2) + "\n"
+    )
     assert ok, f"criterion {num}: {detail}"
 
 

@@ -13,8 +13,9 @@ from logloss_lab.assouad import (
     online_to_batch,
     sample_dataset,
     scaling_experiment,
+    _sign_class_regret,
 )
-from logloss_lab.core import kl_bernoulli
+from logloss_lab.core import kl_bernoulli, log_loss
 
 
 def test_build_p1():
@@ -155,3 +156,169 @@ def test_scaling_experiment_deterministic():
     a = scaling_experiment(1.0, [64, 128], SignClassBayes, range(3))
     b = scaling_experiment(1.0, [64, 128], SignClassBayes, range(3))
     assert np.array_equal(a.regrets, b.regrets)
+
+
+# Per-round references for the count paths: strategies that keep their
+# own running state, and a regret replay and an online-to-batch average
+# that step through the data one round at a time.
+
+
+class _LoopConstant:
+    def __init__(self, ac, value=0.5):
+        self.n_centers = ac.n_centers
+        self.value = float(value)
+
+    def predict(self, cid):
+        return self.value
+
+    def update(self, cid, y):
+        pass
+
+    def table(self):
+        return np.full(self.n_centers, self.value)
+
+
+class _LoopEmpirical:
+    def __init__(self, ac):
+        self.ones = np.zeros(ac.n_centers)
+        self.total = np.zeros(ac.n_centers)
+
+    def predict(self, cid):
+        return (self.ones[cid] + 1.0) / (self.total[cid] + 2.0)
+
+    def update(self, cid, y):
+        self.ones[cid] += y
+        self.total[cid] += 1
+
+    def table(self):
+        return (self.ones + 1.0) / (self.total + 2.0)
+
+
+class _LoopBayes:
+    def __init__(self, ac):
+        self.hi = 4.0 * ac.epsilon
+        self.lo = ac.epsilon
+        self.log_w_hi = np.zeros(ac.n_centers)
+        self.log_w_lo = np.zeros(ac.n_centers)
+
+    def _posterior_mean(self, lw_hi, lw_lo):
+        m = np.maximum(lw_hi, lw_lo)
+        w_hi = np.exp(lw_hi - m)
+        w_lo = np.exp(lw_lo - m)
+        return (w_hi * self.hi + w_lo * self.lo) / (w_hi + w_lo)
+
+    def predict(self, cid):
+        return float(self._posterior_mean(self.log_w_hi[cid], self.log_w_lo[cid]))
+
+    def update(self, cid, y):
+        if y == 1:
+            self.log_w_hi[cid] += math.log(self.hi)
+            self.log_w_lo[cid] += math.log(self.lo)
+        else:
+            self.log_w_hi[cid] += math.log1p(-self.hi)
+            self.log_w_lo[cid] += math.log1p(-self.lo)
+
+    def table(self):
+        return self._posterior_mean(self.log_w_hi, self.log_w_lo)
+
+
+def _loop_regret(ac, strategy, dataset):
+    player = 0.0
+    ones = np.zeros(ac.n_centers)
+    total = np.zeros(ac.n_centers)
+    for cid, y in dataset:
+        player += log_loss(strategy.predict(cid), y)
+        strategy.update(cid, y)
+        ones[cid] += y
+        total[cid] += 1
+    zeros = total - ones
+    lo, hi = ac.epsilon, 4.0 * ac.epsilon
+    loss_lo = -ones * math.log(lo) - zeros * math.log1p(-lo)
+    loss_hi = -ones * math.log(hi) - zeros * math.log1p(-hi)
+    return player - float(np.minimum(loss_lo, loss_hi).sum())
+
+
+def _loop_online_to_batch(strategy, dataset, ac):
+    if len(dataset) == 0:
+        return np.full(ac.n_centers, 0.5)
+    acc = np.zeros(ac.n_centers)
+    for cid, y in dataset:
+        acc += strategy.table()
+        strategy.update(cid, y)
+    return acc / len(dataset)
+
+
+# (label, count-rule strategy, per-round reference)
+_PAIRS = [
+    ("half", ConstantStrategy, _LoopConstant),
+    ("zero", lambda ac: ConstantStrategy(ac, 0.0), lambda ac: _LoopConstant(ac, 0.0)),
+    ("one", lambda ac: ConstantStrategy(ac, 1.0), lambda ac: _LoopConstant(ac, 1.0)),
+    ("empirical", EmpiricalMeanStrategy, _LoopEmpirical),
+    ("bayes", SignClassBayes, _LoopBayes),
+]
+
+
+def _datasets(ac, rng):
+    """A sampled dataset, one that leaves most centers unvisited, one
+    with a single round, and the empty one."""
+    v = rng.choice([-1, 1], size=ac.n_centers)
+    few = [(int(c), int(y)) for c, y in
+           zip(rng.integers(0, 3, size=40), rng.integers(0, 2, size=40))]
+    return [sample_dataset(ac, v, 300, int(rng.integers(2**31))), few,
+            [(ac.n_centers - 1, 1)], []]
+
+
+def _warmed(make, ac, start):
+    strat = make(ac)
+    for cid, y in start:
+        strat.update(cid, y)
+    return strat
+
+
+def _assert_close(new, ref, rel):
+    new, ref = np.asarray(new, dtype=float), np.asarray(ref, dtype=float)
+    assert not np.any(np.isnan(new))
+    assert np.array_equal(np.isinf(new), np.isinf(ref))
+    assert np.array_equal(new[np.isinf(new)], ref[np.isinf(ref)])
+    fin = np.isfinite(ref)
+    assert np.all(np.abs(new[fin] - ref[fin]) <= rel * np.abs(ref[fin]) + 1e-300)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("label, make, make_ref", _PAIRS)
+def test_count_paths_match_per_round_loops(p, label, make, make_ref):
+    rng = np.random.default_rng([p, len(label)])
+    ac = build_assouad_class(p, 0.05)
+    for data in _datasets(ac, rng):
+        # from a fresh strategy and from one that has already seen data
+        for start in ([], [(0, 1), (0, 0), (1, 1)]):
+            strat, ref = _warmed(make, ac, start), _warmed(make_ref, ac, start)
+            _assert_close(_sign_class_regret(ac, strat, data),
+                          _loop_regret(ac, ref, data), 1e-9)
+            _assert_close(strat.table(), ref.table(), 1e-12)
+            strat, ref = _warmed(make, ac, start), _warmed(make_ref, ac, start)
+            _assert_close(online_to_batch(strat, data, ac).table,
+                          _loop_online_to_batch(ref, data, ac), 1e-9)
+            _assert_close(strat.table(), ref.table(), 1e-12)
+
+
+def test_constant_extremes_give_inf_not_nan():
+    ac = build_assouad_class(1, 0.05)
+    for value in (0.0, 1.0):
+        wrong = [(0, 1 - int(value))] * 3
+        right = [(0, int(value))] * 3
+        assert _sign_class_regret(ac, ConstantStrategy(ac, value), wrong) == math.inf
+        assert math.isfinite(_sign_class_regret(ac, ConstantStrategy(ac, value), right))
+
+
+@pytest.mark.parametrize("label, make, make_ref", _PAIRS)
+def test_predict_update_table_match_per_round_state(label, make, make_ref):
+    rng = np.random.default_rng(len(label))
+    ac = build_assouad_class(2, 0.05)
+    strat, ref = make(ac), make_ref(ac)
+    for cid, y in zip(rng.integers(0, 4, size=200), rng.integers(0, 2, size=200)):
+        strat.update(int(cid), int(y))
+        ref.update(int(cid), int(y))
+        for c in range(ac.n_centers):
+            _assert_close(strat.predict(c), ref.predict(c), 1e-12)
+        _assert_close(strat.table(), ref.table(), 1e-12)

@@ -110,6 +110,21 @@ def test_cover_subcommand(class_file, tmp_path):
     assert sizes[0.1] >= 2
 
 
+def test_cover_curve_reports_counts(tmp_path):
+    out = tmp_path / "curve.json"
+    code = main(["cover", "--dim", "1", "--gammas", "0.25,0.125",
+                 "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["counts"] == [
+        {"gamma": 0.125, "functions": 75, "packing": 17},
+        {"gamma": 0.25, "functions": 9, "packing": 4},
+    ]
+    assert [c["upper"] for c in report["curve"]] == pytest.approx(
+        np.log([75, 9]), rel=1e-11
+    )
+
+
 def test_assouad_subcommand(tmp_path):
     out = tmp_path / "as.json"
     code = main(["assouad", "--p", "1", "--n", "16384", "--out", str(out)])

@@ -15,6 +15,7 @@ from logloss_lab.cover import (
     restrict,
     sequential_cover_exact,
     sequential_cover_greedy,
+    _greedy_packing_size,
 )
 
 
@@ -178,3 +179,38 @@ def test_entropy_estimate_sandwich_and_slope():
     # entropy grows as gamma shrinks
     assert curve.uppers[0] >= curve.uppers[-1]
     assert abs(curve.slope - 1.0) <= 0.3
+    assert curve.counts == [
+        {"gamma": 0.0625, "functions": 3611, "packing": 259},
+        {"gamma": 0.125, "functions": 75, "packing": 17},
+        {"gamma": 0.25, "functions": 9, "packing": 4},
+    ]
+    assert np.allclose(curve.uppers, np.log([3611, 75, 9]), rtol=0, atol=1e-15)
+    assert np.allclose(curve.lowers, np.log([259, 17, 4]), rtol=0, atol=1e-15)
+
+
+_ENUMERABLE_GAMMAS = [1.0, 0.5, 0.3, 0.25, 0.2, 0.125, 0.1, 0.0625]
+
+
+def _pairwise_packing_size(points, gamma):
+    """First-fit packing, one distance per (candidate, member) pair."""
+    packing = []
+    for pt in points:
+        if all(np.max(np.abs(pt - q)) > 2 * gamma + 1e-12 for q in packing):
+            packing.append(pt)
+    return len(packing)
+
+
+def test_greedy_packing_matches_pairwise_loop():
+    fam = LipschitzGridFamily()
+    for g in _ENUMERABLE_GAMMAS:
+        values = fam.enumerate_values(g)
+        assert _greedy_packing_size(values, g) == _pairwise_packing_size(values, g)
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        m, d = int(rng.integers(1, 60)), int(rng.integers(1, 5))
+        points = rng.uniform(size=(m, d))
+        # lattice points put exact ties at separation 2 gamma
+        if rng.random() < 0.5:
+            points = np.round(points * 8) / 8
+        g = float(rng.choice([0.0625, 0.1, 0.25, rng.uniform(0.01, 0.5)]))
+        assert _greedy_packing_size(points, g) == _pairwise_packing_size(points, g)

@@ -305,6 +305,17 @@ def test_worst_case_search_matches_brute_force():
         assert regret == pytest.approx(ref_regret, abs=1e-12)
 
 
+def test_bayes_mixture_once_every_expert_is_ruled_out():
+    ec = ExpertClass.constants([0.0, 1.0])
+    strat = BayesMixture(ec, prior=[0.25, 0.75])
+    assert strat.predict(((0, 1), (0, 0)), 0) == pytest.approx(0.75)
+    g = GameInstance(horizon=3, expert_class=ec)
+    seq, regret = worst_case_search(g, BayesMixture(ec))
+    ref_seq, ref_regret = brute_force_worst_case(g, BayesMixture(ec))
+    assert seq == ref_seq
+    assert regret == pytest.approx(ref_regret, abs=1e-12)
+
+
 def _random_dual_instance(rng, kind):
     n = int(rng.integers(1, 7))
     if kind == "previous":
