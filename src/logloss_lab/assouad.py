@@ -80,13 +80,13 @@ def build_assouad_class(dim: int, epsilon: float) -> AssouadClass:
 
 
 def sample_dataset(ac: AssouadClass, v, n: int, seed: int):
-    """n i.i.d. (center_id, outcome) pairs: x uniform over centers,
-    y | x ~ Ber(f_v(x))."""
+    """n i.i.d. (center_id, outcome) pairs as an (n, 2) int64 array, one
+    row per round: x uniform over centers, y | x ~ Ber(f_v(x))."""
     means = ac.values(v)
     rng = np.random.default_rng(seed)
     cids = rng.integers(0, ac.n_centers, size=n)
-    ys = (rng.random(n) < means[cids]).astype(int)
-    return list(zip(cids.tolist(), ys.tolist()))
+    ys = (rng.random(n) < means[cids]).astype(np.int64)
+    return np.stack([cids, ys], axis=1)
 
 
 class _CountStrategy:

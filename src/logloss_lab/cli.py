@@ -172,15 +172,16 @@ def _add_common(sp):
 def _cmd_minimax(args):
     ec = load_expert_class(args.class_file)
     g = game_mod.GameInstance(horizon=args.n, expert_class=ec)
-    value = game_mod.exact_minimax(g)
-    root = {
-        str(x): game_mod.optimal_prediction(g, (), x) for x in ec.contexts
-    }
+    player = game_mod.MinimaxOptimal(g)  # one solve serves every number
+    value = player.value
+    root = {str(x): player.predict((), x) for x in ec.contexts}
     report = {
         "subcommand": "minimax",
         "n": args.n,
         "value": value,
         "root_predictions": root,
+        "solver": player.solver,
+        "states": player.states,
     }
     rows = [("value", float(value))] + [
         (f"p_hat[{x}]", p) for x, p in root.items()

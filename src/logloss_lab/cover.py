@@ -263,7 +263,8 @@ class EntropyCurve:
     """Scale -> entropy, parametric or tabulated.
 
     kinds: "power" (C * gamma^-p), "log" (d * log(1/gamma)), "tabulated"
-    (log-log interpolation between sample points, flat extrapolation).
+    (the `uppers` column, linear in gamma between sample points and flat
+    beyond them, as np.interp gives).
     """
 
     kind: str

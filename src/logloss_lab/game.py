@@ -5,6 +5,15 @@ terminal nodes carry the best-expert log likelihood of the realized
 history, interior nodes take a log-sum-exp over the two outcomes and a
 max over the contexts the adversary may present.  For a single available
 context per round this is the Shtarkov sum.
+
+Under `StaticContexts` the value of a history depends only on how often
+each (context, outcome) pair occurred, so the induction runs level by level
+over those count states: C(t + 2k - 1, 2k - 1) states at depth t instead of
+(2k)^t histories.  One table serves `exact_minimax`, `optimal_prediction`
+and `MinimaxOptimal`; the Bayes mixture's worst case is a max over the leaf
+count vectors, ties (regret within 1e-12 of the max) going to the
+lexicographically first sorted sequence.  Any other availability rule runs
+the recursion over histories.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ __all__ = [
 
 NODE_GUARD = 10**8
 SEARCH_GUARD = 10**7
+STATE_GUARD = 5 * 10**6
 
 
 class AvailabilityRule:
@@ -139,6 +149,90 @@ def _check_instance(g: GameInstance):
         raise ValueError("game instance too large for exact computation")
 
 
+def _has_count_states(g: GameInstance) -> bool:
+    # exact type: a subclass may make availability depend on the history
+    return type(g.availability) is StaticContexts
+
+
+def _count_levels(k: int, n: int):
+    """Every count state of depth 0..n over the 2k cells (context i,
+    outcome y), cell 2i + y.
+
+    Returns (children, leaves): children[t][s, i, y] is the index at depth
+    t + 1 of state s of depth t with one more (i, y); leaves holds the
+    depth-n count vectors.  A depth-t state is ranked by its stars-and-bars
+    bar positions b_j = c_0 + ... + c_j + j, j < 2k - 1, whose colex rank
+    sum_j C(b_j, j + 1) runs over 0..C(t + 2k - 1, 2k - 1) - 1.
+    """
+    m = 2 * k
+    if math.comb(n + m, m) > STATE_GUARD:
+        raise ValueError("game instance too large for exact computation")
+    # binom[b, r] = C(b, r), capped above the guard, which no rank reaches
+    binom = np.zeros((n + m, m), dtype=np.int64)
+    binom[:, 0] = 1
+    for r in range(1, m):
+        binom[1:, r] = np.minimum(
+            np.cumsum(binom[:-1, r - 1]), STATE_GUARD + 1
+        )
+    offsets = np.arange(m - 1)
+    step = np.eye(m, dtype=np.int64)
+    states = np.zeros((1, m), dtype=np.int64)
+    children = []
+    for t in range(1, n + 1):
+        grown = states[:, None, :] + step
+        bars = np.cumsum(grown[..., :-1], axis=-1) + offsets
+        child = binom[bars, offsets + 1].sum(axis=-1)
+        states = np.empty((math.comb(t + m - 1, m - 1), m), dtype=np.int64)
+        states[child.ravel()] = grown.reshape(-1, m)
+        children.append(child.reshape(-1, k, 2))
+    return children, states
+
+
+def _leaf_log_lik(ec: ExpertClass, contexts, counts) -> np.ndarray:
+    """(states, experts) log likelihoods of count vectors over the cells of
+    `contexts`.  A masked sum: a count of 0 times log 0 = -inf adds 0, which
+    `counts @ log_lik` would turn into NaN.  (einsum, not BLAS: the cell
+    axis is short, and a first BLAS call allocates its buffers.)"""
+    cols = [ec.context_index(x) for x in contexts]
+    ll = ec.log_lik[:, :, cols].transpose(1, 2, 0).reshape(ec.n_experts, -1)
+    ruled_out = np.isneginf(ll)
+    total = np.einsum("sc,fc->sf", counts, np.where(ruled_out, 0.0, ll))
+    hits = np.einsum("sc,fc->sf", counts, ruled_out.astype(np.int64))
+    total[hits > 0] = -np.inf
+    return total
+
+
+class _CountTable:
+    """W over the count states of a StaticContexts game, by depth."""
+
+    def __init__(self, g: GameInstance):
+        contexts = g.availability.contexts
+        self.cell = {x: i for i, x in enumerate(contexts)}
+        self.children, leaves = _count_levels(len(contexts), g.horizon)
+        w = np.max(_leaf_log_lik(g.expert_class, contexts, leaves), axis=1)
+        self.values = [w]
+        for child in reversed(self.children):
+            w_child = w[child]
+            w = np.max(np.logaddexp(w_child[..., 0], w_child[..., 1]), axis=1)
+            self.values.append(w)
+        self.values.reverse()
+        self.states = sum(w.size for w in self.values)
+
+    def child_values(self, history, x):
+        """(W0, W1) of history's two children under context x."""
+        s = 0
+        try:
+            for t, (hx, hy) in enumerate(history):
+                s = self.children[t][s, self.cell[hx], hy]
+        except (KeyError, IndexError):
+            raise ValueError(
+                "history not reachable under the availability rule"
+            ) from None
+        t = len(history)
+        w0, w1 = self.values[t + 1][self.children[t][s, self.cell[x]]]
+        return float(w0), float(w1)
+
+
 def _value(g: GameInstance, history: tuple, loglik: np.ndarray) -> float:
     """W(history); loglik holds each expert's cumulative log likelihood."""
     if len(history) == g.horizon:
@@ -160,20 +254,31 @@ def _children(g: GameInstance, history: tuple, loglik: np.ndarray, x):
 
 def exact_minimax(g: GameInstance) -> float:
     """Value of the alternating sup/inf game, via backward induction."""
+    if _has_count_states(g):
+        return float(_CountTable(g).values[0][0])
     _check_instance(g)
     return _value(g, (), np.zeros(g.expert_class.n_experts))
 
 
 def optimal_prediction(g: GameInstance, history, x) -> float:
     """Saddle-point prediction exp(W1) / (exp(W0) + exp(W1)) at this node."""
-    _check_instance(g)
+    table = _CountTable(g) if _has_count_states(g) else None
+    return _optimal_prediction(g, table, history, x)
+
+
+def _optimal_prediction(g: GameInstance, table, history, x) -> float:
+    """optimal_prediction, read from a count table when one is given."""
     history = tuple(history)
     if len(history) >= g.horizon:
         raise ValueError("history already has full length")
     if x not in g.availability.available(history):
         raise ValueError(f"context {x!r} not available after this history")
-    loglik = g.expert_class.history_log_lik(history)
-    w0, w1 = _children(g, history, loglik, x)
+    if table is None:
+        _check_instance(g)
+        loglik = g.expert_class.history_log_lik(history)
+        w0, w1 = _children(g, history, loglik, x)
+    else:
+        w0, w1 = table.child_values(history, x)
     if w0 == -math.inf and w1 == -math.inf:
         raise ValueError("both continuation values are -inf")
     return float(np.exp(w1 - np.logaddexp(w0, w1)))
@@ -254,13 +359,32 @@ def random_dual_strategy(g: GameInstance, rng) -> DualStrategy:
 
 
 class MinimaxOptimal:
-    """Plays the saddle point of the backward-induction node."""
+    """Plays the saddle point of the backward-induction node.
+
+    A StaticContexts game is solved once, here, on count states; under any
+    other rule each prediction re-solves its subtree over histories.
+    `solver` names the path and `states` the nodes one solve visits.
+    """
 
     def __init__(self, game: GameInstance):
         self.game = game
+        if _has_count_states(game):
+            self._table = _CountTable(game)
+            self.solver, self.states = "counts", self._table.states
+        else:
+            self._table = None
+            self.solver = "histories"
+            self.states = 1 + int(game.estimated_nodes())
+
+    @property
+    def value(self) -> float:
+        """The game's minimax value."""
+        if self._table is None:
+            return exact_minimax(self.game)
+        return float(self._table.values[0][0])
 
     def predict(self, history, x) -> float:
-        return optimal_prediction(self.game, history, x)
+        return _optimal_prediction(self.game, self._table, history, x)
 
 
 class BayesMixture:
@@ -341,7 +465,6 @@ class MaximinSearch:
 
 def run_strategy(g: GameInstance, strategy, adversary) -> RegretTrace:
     """Faithful protocol simulation of one game."""
-    _check_instance(g)
     if isinstance(adversary, MaximinSearch) or adversary is MaximinSearch:
         (contexts, outcomes), _ = worst_case_search(g, strategy)
         adversary = FixedSequence(contexts, outcomes)
@@ -373,7 +496,13 @@ def worst_case_search(g: GameInstance, strategy):
     """Exhaustively find the (context, outcome) sequence maximizing the
     strategy's regret; ties broken by the lexicographically smallest
     sequence (context index first, then outcome).  Each expert's loss is
-    carried down the recursion, so a leaf costs one min."""
+    carried down the recursion, so a leaf costs one min.
+
+    A BayesMixture on a StaticContexts game is searched over count vectors
+    instead (see _bayes_worst_case), with its own tie rule.
+    """
+    if _has_count_states(g) and type(strategy) is BayesMixture:
+        return _bayes_worst_case(g, strategy)
     k = g.availability.max_contexts()
     if (2 * k) ** g.horizon > SEARCH_GUARD:
         raise ValueError("instance too large for exhaustive search")
@@ -398,3 +527,37 @@ def worst_case_search(g: GameInstance, strategy):
 
     recurse((), 0.0, np.zeros(ec.n_experts))
     return best["seq"], best["regret"]
+
+
+def _bayes_worst_case(g: GameInstance, strategy: BayesMixture):
+    """worst_case_search for a Bayes mixture on a StaticContexts game.
+
+    The mixture's cumulative loss is -log sum_f pi_f exp(L_f), a function
+    of the (context, outcome) counts alone, so its regret
+    max_f L_f - logsumexp(log pi + L) is scored once per leaf count vector.
+    This is the mixture's exact regret; a replay of its floating-point
+    predictions agrees while no posterior weight underflows.  A count
+    vector that rules out every expert scores -inf.  Ties: among the count
+    vectors whose regret is within 1e-12 of the max, the one whose sorted
+    sequence (rounds ordered by context position, then outcome) is
+    lexicographically first, i.e. the lexicographically largest count
+    vector; that sorted sequence is returned.
+    """
+    contexts = g.availability.contexts
+    _, leaves = _count_levels(len(contexts), g.horizon)
+    best = np.max(_leaf_log_lik(g.expert_class, contexts, leaves), axis=1)
+    mix = strategy.log_prior + _leaf_log_lik(
+        strategy.expert_class, contexts, leaves
+    )
+    top = np.max(mix, axis=1)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mixture = shift + np.log(np.sum(np.exp(mix - shift[:, None]), axis=1))
+        regret = best - mixture
+    regret[np.isnan(regret)] = -np.inf
+    worst = float(np.max(regret))
+    ties = leaves[regret >= worst - 1e-12]
+    counts = ties[np.lexsort(ties.T[::-1])[-1]]
+    cells = np.repeat(np.arange(counts.size), counts)
+    seq = ([contexts[c // 2] for c in cells], [int(c % 2) for c in cells])
+    return seq, worst

@@ -48,6 +48,9 @@ def test_minimax_subcommand(class_file, tmp_path, capsys):
     ec = ExpertClass.constants([0.3, 0.7])
     expected = exact_minimax(GameInstance(horizon=3, expert_class=ec))
     assert report["value"] == pytest.approx(expected, rel=1e-11)
+    # one count table: C(3 + 2, 2) = 10 states over depths 0..3
+    assert report["solver"] == "counts"
+    assert report["states"] == 10
 
 
 def test_minimax_deterministic_output(class_file, tmp_path):

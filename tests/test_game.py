@@ -11,6 +11,7 @@ from logloss_lab.core import (
     path_node_indices,
 )
 from logloss_lab.game import (
+    AvailabilityRule,
     BayesMixture,
     ConstantStrategy,
     DualStrategy,
@@ -76,6 +77,20 @@ def reference_dual_value(g, s):
     return total
 
 
+class _SameEveryRound(AvailabilityRule):
+    """StaticContexts as a custom rule, which takes the history recursion:
+    the reference for the count-state solver."""
+
+    def __init__(self, contexts):
+        self.contexts = tuple(contexts)
+
+    def available(self, history):
+        return self.contexts
+
+    def max_contexts(self):
+        return len(self.contexts)
+
+
 def _with_exact_zeros_and_ones(rng, size):
     v = rng.uniform(size=size)
     r = rng.uniform(size=size)
@@ -131,6 +146,108 @@ def test_minimax_matches_context_tree_enumeration():
         )
 
 
+def _same_or_close(a, b):
+    assert not (math.isnan(a) or math.isnan(b))
+    if math.isfinite(a) and math.isfinite(b):
+        assert a == pytest.approx(b, abs=1e-12)
+    else:
+        assert a == b
+
+
+def _or_error(solve, *args):
+    """solve(*args), or the message of the ValueError it raises."""
+    try:
+        return solve(*args)
+    except ValueError as e:
+        return str(e)
+
+
+def _protocol(g, tree_values, prob_values, seed):
+    adversary = StochasticAdversary(
+        BinaryTree(g.horizon, values=tree_values),
+        BinaryTree(g.horizon, values=prob_values),
+        seed=seed,
+    )
+    return _or_error(run_strategy, g, MinimaxOptimal(g), adversary)
+
+
+def test_count_states_match_history_recursion():
+    rng = np.random.default_rng(606)
+    for _ in range(200):
+        k = int(rng.integers(1, 4))
+        # at most 256 leaves: every node's prediction re-solves a subtree
+        n = min(int(rng.integers(1, 7)), int(math.log(256, 2 * k) + 1e-9))
+        table = _with_exact_zeros_and_ones(rng, (int(rng.integers(1, 5)), k))
+        ec = ExpertClass(contexts=list(range(k)), experts=table)
+        g = GameInstance(horizon=n, expert_class=ec)
+        rule = _SameEveryRound(ec.contexts)
+        ref = GameInstance(horizon=n, expert_class=ec, availability=rule)
+        _same_or_close(exact_minimax(g), exact_minimax(ref))
+        pairs = [(x, y) for x in ec.contexts for y in (0, 1)]
+        player = MinimaxOptimal(g)
+        for t in range(n):
+            for history in itertools.product(pairs, repeat=t):
+                for x in ec.contexts:
+                    got = _or_error(optimal_prediction, g, history, x)
+                    want = _or_error(optimal_prediction, ref, history, x)
+                    if isinstance(want, str):
+                        assert got == want
+                    else:
+                        _same_or_close(got, want)
+                    assert _or_error(player.predict, history, x) == got
+        tree = rng.integers(0, k, size=(1 << n) - 1).astype(object)
+        probs = _with_exact_zeros_and_ones(rng, (1 << n) - 1)
+        seed = int(rng.integers(2**31))
+        got = _protocol(g, tree, probs, seed)
+        want = _protocol(ref, tree, probs, seed)
+        if isinstance(want, str):
+            assert got == want
+            continue
+        assert (got.contexts, got.outcomes) == (want.contexts, want.outcomes)
+        for a, b in zip(got.predictions, want.predictions):
+            _same_or_close(a, b)
+        for a, b in ((got.player_loss, want.player_loss),
+                     (got.best_expert_loss, want.best_expert_loss)):
+            _same_or_close(a, b)
+
+
+def _log_binom(n, j):
+    return math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+
+
+def test_single_context_closed_form():
+    # V = log sum_j C(n, j) max_f p_f^j (1 - p_f)^(n - j), 0 log 0 = 0
+    probs = [0.0, 0.05, 0.3, 0.5, 0.81, 1.0]
+    ec = ExpertClass.constants(probs)
+    for n in (50, 200, 1000):
+        terms = []
+        for j in range(n + 1):
+            best = -math.inf
+            for p in probs:
+                if (p == 0.0 and j > 0) or (p == 1.0 and j < n):
+                    continue
+                ll = (j * math.log(p) if j else 0.0) + (
+                    (n - j) * math.log1p(-p) if j < n else 0.0
+                )
+                best = max(best, ll)
+            terms.append(_log_binom(n, j) + best)
+        top = max(terms)
+        closed = top + math.log(sum(math.exp(v - top) for v in terms))
+        value = exact_minimax(GameInstance(horizon=n, expert_class=ec))
+        assert value == pytest.approx(closed, rel=1e-12, abs=1e-12)
+        assert value <= math.log(len(probs))
+
+
+def test_long_horizon_has_no_recursion_limit():
+    ec = ExpertClass.constants([0.2, 0.5, 0.9])
+    g = GameInstance(horizon=2000, expert_class=ec)
+    value = exact_minimax(g)
+    # 2000 levels of log-sum-exp over log likelihoods near -1400
+    assert 0.0 < value <= math.log(3) + 1e-9
+    p = optimal_prediction(g, ((0, 1),) * 1999, 0)
+    assert 0.0 < p < 1.0
+
+
 def test_optimal_prediction_is_a_probability():
     ec = ExpertClass(
         contexts=["a", "b"], experts=[[0.2, 0.6], [0.8, 0.4], [0.5, 0.5]]
@@ -142,6 +259,13 @@ def test_optimal_prediction_is_a_probability():
     assert 0.0 <= p2 <= 1.0
     with pytest.raises(ValueError):
         optimal_prediction(g, (("a", 1),) * 3, "a")
+    # a history the rule never allows has no count state
+    only_a = GameInstance(
+        horizon=3, expert_class=ec, availability=StaticContexts(["a"])
+    )
+    for history in ((("b", 1),), (("a", 2),)):
+        with pytest.raises(ValueError):
+            optimal_prediction(only_a, history, "a")
 
 
 def test_dual_never_exceeds_primal():
@@ -248,15 +372,33 @@ def test_previous_outcomes_rule():
     assert val <= math.log(3) + 1e-9  # one context per round: Shtarkov <= log|F|
     p = optimal_prediction(g, (), ())
     assert 0.0 <= p <= 1.0
+    player = MinimaxOptimal(g)
+    assert (player.solver, player.states) == ("histories", 15)
+    assert player.value == val
+    assert player.predict((), ()) == p
 
 
 def test_instance_guards():
     ec = ExpertClass.constants(np.linspace(0.1, 0.9, 5))
     with pytest.raises(ValueError):
         GameInstance(horizon=0, expert_class=ec)
-    big = GameInstance(horizon=30, expert_class=ec)
+    # 496 count states: solved, though it has 2^31 - 2 histories
+    value = exact_minimax(GameInstance(horizon=30, expert_class=ec))
+    assert 0.0 <= value <= math.log(5)
+    # C(66, 6) = 9.1e7 count states
+    wide = ExpertClass(contexts=[0, 1, 2], experts=np.full((2, 3), 0.5))
+    big = GameInstance(horizon=60, expert_class=wide)
+    for solve in (exact_minimax, MinimaxOptimal,
+                  lambda g: optimal_prediction(g, (), 0),
+                  lambda g: worst_case_search(g, BayesMixture(wide))):
+        with pytest.raises(ValueError):
+            solve(big)
+    # no count states here: the history guard still applies
+    prev = GameInstance(
+        horizon=30, expert_class=ec, availability=PreviousOutcomes()
+    )
     with pytest.raises(ValueError):
-        exact_minimax(big)
+        exact_minimax(prev)
     with pytest.raises(ValueError):
         StaticContexts(())
 
@@ -270,26 +412,40 @@ def test_worst_case_search_tiebreak_deterministic():
     assert r1 == r2
 
 
-def brute_force_worst_case(g, strategy):
-    """worst_case_search as a loop over every (context, outcome) sequence in
+def brute_force_regrets(g, strategy):
+    """(sequence, regret) for every (context, outcome) sequence in
     lexicographic order, each scored from scratch with core.log_loss."""
     ec = g.expert_class
     pairs = [(x, y) for x in g.availability.available(()) for y in (0, 1)]
-    best_regret, best_seq = -math.inf, None
     for seq in itertools.product(pairs, repeat=g.horizon):
         player = 0.0
         experts = np.zeros(ec.n_experts)
         for t, (x, y) in enumerate(seq):
             player += log_loss(strategy.predict(seq[:t], x), y)
             experts += log_loss(ec.column(x), y)
-        regret = player - float(np.min(experts))
+        yield seq, player - float(np.min(experts))
+
+
+def _split(seq):
+    return [x for x, _ in seq], [y for _, y in seq]
+
+
+def brute_force_worst_case(g, strategy):
+    """worst_case_search as a loop: the first sequence in lexicographic
+    order that beats every earlier one by more than 1e-15."""
+    best_regret, best_seq = -math.inf, None
+    for seq, regret in brute_force_regrets(g, strategy):
         if regret > best_regret + 1e-15:
-            best_regret = regret
-            best_seq = ([x for x, _ in seq], [y for _, y in seq])
+            best_regret, best_seq = regret, _split(seq)
     return best_seq, best_regret
 
 
 def test_worst_case_search_matches_brute_force():
+    # On a StaticContexts game the Bayes mixture is searched over count
+    # vectors, and its tie rule differs from the loop's: of the sequences
+    # within 1e-12 of the max, the lexicographically first sorted one.
+    # At this seed, iterations 11 and 17 are exact ties (regret log 3 and
+    # log 2) that the loop resolves by summation noise.
     rng = np.random.default_rng(17)
     for _ in range(20):
         k = int(rng.integers(1, 3))
@@ -301,8 +457,19 @@ def test_worst_case_search_matches_brute_force():
         g = GameInstance(horizon=n, expert_class=ec)
         seq, regret = worst_case_search(g, BayesMixture(ec))
         ref_seq, ref_regret = brute_force_worst_case(g, BayesMixture(ec))
-        assert seq == ref_seq
         assert regret == pytest.approx(ref_regret, abs=1e-12)
+        replay = run_strategy(g, BayesMixture(ec), FixedSequence(*seq))
+        assert replay.regret == pytest.approx(regret, abs=1e-12)
+        scored = list(brute_force_regrets(g, BayesMixture(ec)))
+        top = max(r for _, r in scored)
+        ties = [sorted(s) for s, r in scored if r >= top - 1e-12]
+        assert seq == _split(min(ties))
+        # the history recursion stays the reference for other strategies
+        rule = _SameEveryRound(ec.contexts)
+        g_hist = GameInstance(horizon=n, expert_class=ec, availability=rule)
+        hist_seq, hist_regret = worst_case_search(g_hist, BayesMixture(ec))
+        assert hist_seq == ref_seq
+        assert hist_regret == pytest.approx(ref_regret, abs=1e-12)
 
 
 def test_bayes_mixture_once_every_expert_is_ruled_out():
