@@ -18,9 +18,8 @@ def main():
     print(f"c = {ESTIMATION_CONSTANT:.10f}, lambda* = 1/c = {LAMBDA_STAR:.10f}")
     print()
 
-    # the Lipschitz check grids all pairs of points, so it gets a coarser
-    # per-axis resolution than the one-dimensional sweeps
-    resolutions = {"PHI_LIPSCHITZ": 0.1, "SC_EDGE": 1e-6, "SELF_CONCORDANT": 1e-6}
+    # the one-dimensional sweeps afford a finer step
+    resolutions = {"SC_EDGE": 1e-6, "SELF_CONCORDANT": 1e-6}
     for cid in CHECK_IDS:
         r = run_check(cid, resolution=resolutions.get(cid, 1e-3))
         status = "ok" if r.passed else "VIOLATED"

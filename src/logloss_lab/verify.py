@@ -5,6 +5,11 @@ tree identities, by exact path enumeration over random instances) and
 reports the worst signed slack, where slack = bound minus quantity, so
 negative means a violation.  Nothing here is a proof; the grids are
 dense enough to catch any implementation drift in the closed forms.
+
+Every check keeps its slack in the shape of its grid and reads the worst
+point off the grid axes at the first minimum; no array of points is built.
+PHI_LIPSCHITZ certifies all m^2 pairs of its grid in O(m) by a
+running-maximum reduction.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ CHECK_IDS = (
 # Exclusion band around p, f in {0, 1}; the boundary itself is handled by
 # the dedicated edge-case check.
 _EDGE = 1e-6
-_MAX_GRID_POINTS = 2_000_000_000
+_Y = np.array([0.0, 1.0])
 
 
 @dataclass
@@ -62,17 +67,22 @@ class CheckReport:
     passed: bool
 
 
-def _report(check_id, grid_spec, slack, points, tolerance) -> CheckReport:
-    """Assemble a report from flat slack values and matching points."""
-    slack = np.asarray(slack, dtype=float).ravel()
-    finite = np.where(np.isfinite(slack), slack, np.inf)
-    k = int(np.argmin(finite))
-    worst = float(finite[k])
+def _report(check_id, grid_spec, slack, coords, tolerance) -> CheckReport:
+    """Assemble a report from a slack array and its grid axes.
+
+    `coords` are arrays that broadcast to `slack.shape`; the worst point
+    reads each of them at the first minimum of `slack`.  A NaN slack counts
+    as the worst (and fails), and +inf never beats a finite slack.
+    """
+    slack = np.asarray(slack, dtype=float)
+    k = np.unravel_index(int(np.argmin(slack)), slack.shape)
+    worst = float(slack[k])
+    point = tuple(float(np.broadcast_to(c, slack.shape)[k]) for c in coords)
     return CheckReport(
         check_id=check_id,
         grid_spec=grid_spec,
         worst_slack=worst,
-        worst_point=tuple(float(c) for c in points[k]),
+        worst_point=point,
         tolerance=tolerance,
         passed=worst >= -tolerance,
     )
@@ -84,52 +94,53 @@ def _interior_grid(resolution):
     return np.linspace(_EDGE, 1.0 - _EDGE, m)
 
 
+def _running_argmax(x):
+    """Index of the first maximum of x[:i + 1], for every i."""
+    new_max = np.ones(x.size, dtype=bool)
+    new_max[1:] = x[1:] > np.maximum.accumulate(x)[:-1]
+    return np.maximum.accumulate(np.where(new_max, np.arange(x.size), 0))
+
+
 def _check_phi_lipschitz(resolution):
+    """2|s - t| >= phi(s) - phi(t) over all m^2 pairs of grid points.
+
+    For s_i >= s_j the slack is g_i - g_j with g = 2s - phi, so for each i
+    the worst j is the first maximum of g over j <= i.  For s_i <= s_j it
+    is h_j - h_i with h = 2s + phi, so for each j the worst i is the first
+    maximum of h over i <= j.  These 2m pairs contain a worst pair, and
+    the pairwise slack is evaluated only there.
+    """
     lo, hi = -100.0, 100.0
     m = int(math.floor((hi - lo) / resolution)) + 1
-    if m * m > _MAX_GRID_POINTS:
-        raise ValueError("grid too large")
     s = np.linspace(lo, hi, m)
     phis = phi(s)
-    worst = np.inf
-    worst_pt = (s[0], s[0])
-    chunk = max(1, int(4e6 // m))
-    for start in range(0, m, chunk):
-        sl = slice(start, start + chunk)
-        gap = 2.0 * np.abs(s[sl, None] - s[None, :])
-        slack = gap - (phis[sl, None] - phis[None, :])
-        k = int(np.argmin(slack))
-        if slack.flat[k] < worst:
-            worst = float(slack.flat[k])
-            i, j = divmod(k, m)
-            worst_pt = (float(s[start + i]), float(s[j]))
-    return CheckReport(
-        check_id="PHI_LIPSCHITZ",
-        grid_spec=f"s,t in [-100,100] step {resolution:g} ({m}^2 points)",
-        worst_slack=worst,
-        worst_point=worst_pt,
-        tolerance=1e-9,
-        passed=worst >= -1e-9,
+    every = np.arange(m)
+    rows = np.stack([every, _running_argmax(2.0 * s + phis)])
+    cols = np.stack([_running_argmax(2.0 * s - phis), every])
+    slack = 2.0 * np.abs(s[rows] - s[cols]) - (phis[rows] - phis[cols])
+    return _report(
+        "PHI_LIPSCHITZ",
+        f"s,t in [-100,100] step {resolution:g} ({m}^2 points)",
+        slack,
+        (s[rows], s[cols]),
+        1e-9,
     )
 
 
 def _check_sc_pointwise(resolution):
     p = _interior_grid(resolution)
     f = _interior_grid(resolution)
-    pts, slacks = [], []
+    slacks = []
     for y in (0, 1):
         lp = log_loss(p, y)[:, None]
         lf = log_loss(f, y)[None, :]
         z = eta(p, y)[:, None] * (p[:, None] - f[None, :])
-        slack = phi(z) - (lp - lf)
-        slacks.append(slack.ravel())
-        pp, ff = np.meshgrid(p, f, indexing="ij")
-        pts.append(np.column_stack([pp.ravel(), ff.ravel(), np.full(pp.size, y)]))
+        slacks.append(phi(z) - (lp - lf))
     return _report(
         "SC_POINTWISE",
         f"p,f in [{_EDGE:g},1-{_EDGE:g}] step {resolution:g}, y in {{0,1}}",
-        np.concatenate(slacks),
-        np.concatenate(pts),
+        np.stack(slacks),
+        (p[None, :, None], f[None, None, :], _Y[:, None, None]),
         1e-9,
     )
 
@@ -142,14 +153,11 @@ def _check_sc_edge(resolution):
         s1 = np.log(2.0 - f) - 2.0 * (1.0 - f) - np.log(f)
         # p = 0 branch: log(1 - f) <= log(1 + f) - 2f
         s0 = np.log1p(f) - 2.0 * f - np.log1p(-f)
-    pts = np.concatenate(
-        [np.column_stack([f, np.ones(m)]), np.column_stack([f, np.zeros(m)])]
-    )
     return _report(
         "SC_EDGE",
         f"f in [0,1] step {resolution:g}, both boundary branches",
-        np.concatenate([s1, s0]),
-        pts,
+        np.stack([s1, s0]),
+        (f[None, :], np.array([[1.0], [0.0]])),
         1e-9,
     )
 
@@ -159,22 +167,19 @@ def _check_nesterov(resolution):
     scalar log loss F(p) = loss(p, y)."""
     s = _interior_grid(resolution)
     t = _interior_grid(resolution)
-    pts, slacks = [], []
+    d = t[None, :] - s[:, None]
+    slacks = []
     for y in (0, 1):
         fs = log_loss(s, y)[:, None]
         ft = log_loss(t, y)[None, :]
         grad = eta(s, y)[:, None]
         hess = np.where(y == 1, 1.0 / s**2, 1.0 / (1.0 - s) ** 2)[:, None]
-        d = t[None, :] - s[:, None]
-        slack = ft - fs - grad * d - omega(np.sqrt(hess) * np.abs(d))
-        slacks.append(slack.ravel())
-        ss, tt = np.meshgrid(s, t, indexing="ij")
-        pts.append(np.column_stack([ss.ravel(), tt.ravel(), np.full(ss.size, y)]))
+        slacks.append(ft - fs - grad * d - omega(np.sqrt(hess) * np.abs(d)))
     return _report(
         "NESTEROV",
         f"s,t in [{_EDGE:g},1-{_EDGE:g}] step {resolution:g}, y in {{0,1}}",
-        np.concatenate(slacks),
-        np.concatenate(pts),
+        np.stack(slacks),
+        (s[None, :, None], t[None, None, :], _Y[:, None, None]),
         1e-9,
     )
 
@@ -184,7 +189,7 @@ def _check_self_concordant(resolution):
     reported relative to 2 F''^{3/2} since the raw values reach 1e18 near
     the boundary."""
     s = _interior_grid(resolution)
-    pts, slacks = [], []
+    slacks = []
     for y in (0, 1):
         if y == 1:
             hess = 1.0 / s**2
@@ -194,13 +199,12 @@ def _check_self_concordant(resolution):
             third = 2.0 / (1.0 - s) ** 3
         bound = 2.0 * hess * np.sqrt(hess)
         slacks.append((bound - third) / bound)
-        pts.append(np.column_stack([s, np.full(s.size, y)]))
     return _report(
         "SELF_CONCORDANT",
         f"s in [{_EDGE:g},1-{_EDGE:g}] step {resolution:g}, y in {{0,1}}; "
         "relative slack",
-        np.concatenate(slacks),
-        np.concatenate(pts),
+        np.stack(slacks),
+        (s[None, :], _Y[:, None]),
         1e-9,
     )
 
@@ -210,19 +214,17 @@ def _check_clipping(resolution):
     p = np.linspace(0.0, 1.0, m)
     md = int(math.floor(0.5 / resolution))
     d = np.linspace(resolution, 0.5, md)
-    pts, slacks = [], []
-    for y in (0, 1):
-        clipped = np.clip(p[:, None], d[None, :], 1.0 - d[None, :])
-        slack = log_loss(p, y)[:, None] + 2.0 * d[None, :] - log_loss(clipped, y)
-        slacks.append(slack.ravel())
-        pp, dd = np.meshgrid(p, d, indexing="ij")
-        pts.append(np.column_stack([pp.ravel(), dd.ravel(), np.full(pp.size, y)]))
+    clipped = np.clip(p[:, None], d[None, :], 1.0 - d[None, :])
+    slack = np.stack([
+        log_loss(p, y)[:, None] + 2.0 * d[None, :] - log_loss(clipped, y)
+        for y in (0, 1)
+    ])
     return _report(
         "CLIPPING",
         f"p in [0,1], delta in ({resolution:g},0.5] step {resolution:g}, "
         "y in {0,1}",
-        np.concatenate(slacks),
-        np.concatenate(pts),
+        slack,
+        (p[None, :, None], d[None, None, :], _Y[:, None, None]),
         1e-9,
     )
 
@@ -235,13 +237,11 @@ def _check_kl_eps(resolution):
     e = eps[:, None]
     qq = q[None, :]
     rhs = (e / 4.0) * (qq >= 2.0 * e) + (e / 6.0) * (qq <= e / 2.0)
-    slack = kl_bernoulli(e, qq) - rhs
-    ee, qg = np.meshgrid(eps, q, indexing="ij")
     return _report(
         "KL_EPS",
         f"eps in ({resolution:g},0.5], q in [0,1], step {resolution:g}",
-        slack.ravel(),
-        np.column_stack([ee.ravel(), qg.ravel()]),
+        kl_bernoulli(e, qq) - rhs,
+        (e, qq),
         1e-9,
     )
 
@@ -270,25 +270,19 @@ def _check_eta_identity(resolution, seed, n=8, n_trees=100):
     """E sum_t |loss'(p_t(y), y_t)| = 2n exactly, any prob tree."""
     del resolution
     rng = np.random.default_rng(seed)
-    target = 2.0 * n
-    worst = np.inf
-    worst_pt = (0.0,)
-    for i in range(n_trees):
+    totals = []
+    for _ in range(n_trees):
         pvals = _random_prob_tree(rng, n)
         bits, node_p, w = _path_tables(pvals, n)
         abs_eta = np.where(bits == 1, 1.0 / node_p, 1.0 / (1.0 - node_p))
-        total = float((w * abs_eta.sum(axis=1)).sum())
-        slack = -abs(total - target)
-        if slack < worst:
-            worst = slack
-            worst_pt = (float(i), total)
-    return CheckReport(
-        check_id="ETA_IDENTITY",
-        grid_spec=f"n={n}, {n_trees} random prob trees, exact enumeration",
-        worst_slack=worst,
-        worst_point=worst_pt,
-        tolerance=1e-9,
-        passed=worst >= -1e-9,
+        totals.append((w * abs_eta.sum(axis=1)).sum())
+    totals = np.array(totals)
+    return _report(
+        "ETA_IDENTITY",
+        f"n={n}, {n_trees} random prob trees, exact enumeration",
+        -np.abs(totals - 2.0 * n),
+        (np.arange(n_trees), totals),
+        1e-9,
     )
 
 
@@ -297,11 +291,8 @@ def _check_estimation(resolution, seed, n_instances=200, max_n=10, max_sets=16):
     c log|V|, by exact enumeration over random instances."""
     del resolution
     rng = np.random.default_rng(seed)
-    c = ESTIMATION_CONSTANT
-    worst = np.inf
-    worst_pt = (0.0,)
-    max_ratio = 0.0
-    for i in range(n_instances):
+    rows = []
+    for _ in range(n_instances):
         n = int(rng.integers(1, max_n + 1))
         k = int(rng.integers(2, max_sets + 1))
         pvals = _random_prob_tree(rng, n)
@@ -311,23 +302,19 @@ def _check_estimation(resolution, seed, n_instances=200, max_n=10, max_sets=16):
         idx = path_node_indices(n)
         ev = np.where(bits == 1, -1.0 / node_p, 1.0 / (1.0 - node_p))
         scores = phi(ev[None, :, :] * vtrees[:, idx]).sum(axis=2)
-        value = float((w * scores.max(axis=0)).sum())
-        bound = c * math.log(k)
-        if value > 0:
-            max_ratio = max(max_ratio, value / bound)
-        if bound - value < worst:
-            worst = bound - value
-            worst_pt = (float(i), float(n), float(k), value)
-    return CheckReport(
-        check_id="ESTIMATION",
-        grid_spec=(
+        value = (w * scores.max(axis=0)).sum()
+        rows.append((n, k, value, ESTIMATION_CONSTANT * math.log(k)))
+    ns, ks, values, bounds = np.array(rows).T
+    max_ratio = np.max(values / bounds, initial=0.0, where=values > 0)
+    return _report(
+        "ESTIMATION",
+        (
             f"{n_instances} random instances, n<= {max_n}, |V|<= {max_sets}; "
             f"max observed value/bound ratio {max_ratio:.3g}"
         ),
-        worst_slack=worst,
-        worst_point=worst_pt,
-        tolerance=1e-9,
-        passed=worst >= -1e-9,
+        bounds - values,
+        (np.arange(n_instances), ns, ks, values),
+        1e-9,
     )
 
 

@@ -70,7 +70,7 @@ def test_criterion_1_constant():
 
 def test_criterion_2_lemma_suite():
     plan = {
-        "PHI_LIPSCHITZ": 0.1,      # 2001^2 ~ 4e6 pairs
+        "PHI_LIPSCHITZ": 1e-3,     # 200001^2 ~ 4e10 pairs, by reduction
         "SC_POINTWISE": 1e-3,      # ~2e6 points
         "SC_EDGE": 1e-6,           # ~2e6 points
         "NESTEROV": 1e-3,          # ~2e6 points

@@ -88,6 +88,14 @@ def test_verify_json_report(tmp_path):
     assert report["checks"][0]["pass"] is True
 
 
+def test_verify_all_default_resolution(tmp_path):
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--all", "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert len(checks) == 9
+    assert all(c["pass"] for c in checks)
+
+
 def test_bounds_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(["bounds", "--entropy", "pow:p=2,C=1",

@@ -3,20 +3,30 @@ import math
 import numpy as np
 import pytest
 
-from logloss_lab.core import LAMBDA_STAR, eta, log_loss, phi
+from logloss_lab import verify as verify_mod
+from logloss_lab.core import (
+    LAMBDA_STAR,
+    eta,
+    kl_bernoulli,
+    log_loss,
+    omega,
+    phi,
+)
 from logloss_lab.verify import (
     CHECK_IDS,
+    CheckReport,
     lambda_threshold_scan,
     run_check,
     sup_psi,
     _case1_ratio,
 )
 
+SEEDED = ("ETA_IDENTITY", "ESTIMATION")
+
 
 @pytest.mark.parametrize("check_id", CHECK_IDS)
 def test_every_check_passes(check_id):
-    res = 1e-2 if check_id == "PHI_LIPSCHITZ" else 1e-3
-    r = run_check(check_id, resolution=res, seed=0)
+    r = run_check(check_id, resolution=1e-3, seed=0)
     assert r.passed, f"{check_id}: worst slack {r.worst_slack} at {r.worst_point}"
     assert r.worst_slack >= -r.tolerance
 
@@ -97,3 +107,138 @@ def test_report_fields():
     assert r.passed == (r.worst_slack >= -r.tolerance)
     assert len(r.worst_point) >= 1
     assert "step" in r.grid_spec
+
+
+# Test references for the reductions: the all-pairs PHI_LIPSCHITZ loop and
+# a report that indexes an explicit array of every grid point.
+
+
+def _pairwise_phi_lipschitz(resolution, fn=phi):
+    """PHI_LIPSCHITZ of `fn` over all m^2 pairs, compared in row chunks."""
+    m = int(math.floor(200.0 / resolution)) + 1
+    s = np.linspace(-100.0, 100.0, m)
+    phis = fn(s)
+    worst, worst_pt = np.inf, (s[0], s[0])
+    chunk = max(1, int(4e6 // m))
+    for start in range(0, m, chunk):
+        sl = slice(start, start + chunk)
+        gap = 2.0 * np.abs(s[sl, None] - s[None, :])
+        slack = gap - (phis[sl, None] - phis[None, :])
+        k = int(np.argmin(slack))
+        if slack.flat[k] < worst:
+            worst = float(slack.flat[k])
+            i, j = divmod(k, m)
+            worst_pt = (float(s[start + i]), float(s[j]))
+    return worst, worst_pt
+
+
+def _report_from_points(check_id, grid_spec, slack, coords, tolerance):
+    """`_report` by an (N, len(coords)) array of every grid point."""
+    slack = np.asarray(slack, dtype=float)
+    points = np.column_stack(
+        [np.broadcast_to(c, slack.shape).ravel() for c in coords]
+    )
+    flat = slack.ravel()
+    finite = np.where(np.isfinite(flat), flat, np.inf)
+    k = int(np.argmin(finite))
+    worst = float(finite[k])
+    return CheckReport(
+        check_id=check_id,
+        grid_spec=grid_spec,
+        worst_slack=worst,
+        worst_point=tuple(float(c) for c in points[k]),
+        tolerance=tolerance,
+        passed=worst >= -tolerance,
+    )
+
+
+def _wavy_phi(z):
+    """phi plus a wave: its slope reaches 4.5, so the worst pair has s > t."""
+    return phi(z) + 2.5 * np.sin(z)
+
+
+def _mirrored_wavy_phi(z):
+    """Slope down to -4.5, so the worst pair has s < t."""
+    return _wavy_phi(-z)
+
+
+@pytest.mark.parametrize(
+    "fn,resolution",
+    [(phi, 0.1), (phi, 2e-2), (phi, 1e-2),
+     (_wavy_phi, 0.1), (_wavy_phi, 2e-2),
+     (_mirrored_wavy_phi, 0.1), (_mirrored_wavy_phi, 2e-2)],
+)
+def test_phi_lipschitz_reduction_matches_all_pairs(fn, resolution, monkeypatch):
+    monkeypatch.setattr(verify_mod, "phi", fn)
+    r = run_check("PHI_LIPSCHITZ", resolution=resolution)
+    worst, worst_pt = _pairwise_phi_lipschitz(resolution, fn)
+    assert r.worst_slack == worst
+    assert r.worst_point == worst_pt
+    assert r.passed == (worst >= -1e-9) == (fn is phi)
+    s, t = r.worst_point
+    assert 2.0 * abs(s - t) - (fn(s) - fn(t)) == r.worst_slack
+
+
+@pytest.mark.parametrize(
+    "check_id,seed",
+    [(c, s) for c in CHECK_IDS for s in ((0, 1, 3) if c in SEEDED else (0,))],
+)
+def test_reports_match_explicit_points(check_id, seed, monkeypatch):
+    got = run_check(check_id, resolution=1e-2, seed=seed)
+    monkeypatch.setattr(verify_mod, "_report", _report_from_points)
+    assert got == run_check(check_id, resolution=1e-2, seed=seed)
+
+
+def _edge_slack(f, p):
+    if p == 1.0:
+        return math.log(2.0 - f) - 2.0 * (1.0 - f) - math.log(f)
+    return math.log1p(f) - 2.0 * f - math.log1p(-f)
+
+
+def _nesterov_slack(s, t, y):
+    hess = 1.0 / s**2 if y == 1 else 1.0 / (1.0 - s) ** 2
+    d = t - s
+    return (log_loss(t, y) - log_loss(s, y) - eta(s, y) * d
+            - omega(math.sqrt(hess) * abs(d)))
+
+
+def _self_concordant_slack(s, y):
+    x = s if y == 1 else 1.0 - s
+    bound = 2.0 * x**-2 * math.sqrt(x**-2)
+    return (bound - 2.0 / x**3) / bound
+
+
+# each grid check's slack at one point, in the order of its worst_point
+SLACK_AT = {
+    "SC_POINTWISE": lambda p, f, y: (
+        phi(eta(p, y) * (p - f)) - (log_loss(p, y) - log_loss(f, y))
+    ),
+    "SC_EDGE": _edge_slack,
+    "NESTEROV": _nesterov_slack,
+    "SELF_CONCORDANT": _self_concordant_slack,
+    "CLIPPING": lambda p, d, y: (
+        log_loss(p, y) + 2.0 * d - log_loss(min(max(p, d), 1.0 - d), y)
+    ),
+    "KL_EPS": lambda e, q: (
+        kl_bernoulli(e, q)
+        - (e / 4.0) * (q >= 2.0 * e) - (e / 6.0) * (q <= e / 2.0)
+    ),
+}
+
+
+@pytest.mark.parametrize("check_id", sorted(SLACK_AT))
+def test_worst_point_reproduces_worst_slack(check_id):
+    r = run_check(check_id, resolution=1e-2)
+    at = float(SLACK_AT[check_id](*r.worst_point))
+    assert at == pytest.approx(r.worst_slack, abs=1e-12)
+
+
+def test_nan_or_minus_inf_slack_fails(monkeypatch):
+    monkeypatch.setattr(verify_mod, "phi", lambda z: np.full_like(z, np.nan))
+    r = run_check("SC_POINTWISE", resolution=1e-2)
+    assert math.isnan(r.worst_slack) and not r.passed
+    monkeypatch.setattr(
+        verify_mod, "phi", lambda z: np.where(z > 0.5, -np.inf, phi(z))
+    )
+    r = run_check("SC_POINTWISE", resolution=1e-2)
+    assert r.worst_slack == -np.inf and not r.passed
