@@ -155,13 +155,125 @@ def _warm_starts(H: EntropyCurve, n: int, rng):
     return out
 
 
+def _line_objectives(H: EntropyCurve, n: int):
+    """The truncation objective restricted to one coordinate at a time.
+
+    Returns (over_gamma, over_delta, over_alpha).  over_gamma(delta, alpha)
+    is x -> obj(exp(x), delta, alpha), and likewise for the other two.
+    Whatever does not depend on the moving coordinate (the fixed
+    coordinates' terms, the fixed endpoint's edge, H(gamma) when gamma is
+    held) is computed once per line.  The terms are added in the order of
+    _truncation_objective, so each evaluation returns the same double.
+    """
+    edge_s, coef_s, div_s = H.antiderivative(sqrt=True)
+    edge_f, coef_f, div_f = H.antiderivative()
+    value = H.unchecked_value
+    four_n, two_n, three_n = 4.0 * n, 2.0 * n, 3.0 * n
+    exp, sqrt, log, isfinite = math.exp, math.sqrt, math.log, math.isfinite
+    inf = math.inf
+
+    def nowhere(x):
+        return inf
+
+    def over_gamma(delta, alpha):
+        if not (alpha > 0 and 0 < delta <= 0.5):
+            return nowhere
+        try:
+            low_s, low_f = edge_s(alpha), edge_f(alpha)
+        except (OverflowError, ValueError):
+            return nowhere
+        head = four_n * alpha / delta
+        k_sqrt = 30.0 * sqrt(two_n / delta)
+        k_full = 8.0 / delta
+        tail = three_n * delta * log(1.0 / delta)
+
+        def f(x):
+            gamma = exp(x)
+            if not gamma >= alpha:
+                return inf
+            try:
+                i_sqrt = coef_s * (edge_s(gamma) - low_s) / div_s
+                i_full = coef_f * (edge_f(gamma) - low_f) / div_f
+            except (OverflowError, ValueError):
+                return inf
+            if not (isfinite(i_sqrt) and isfinite(i_full)):
+                return inf
+            return head + k_sqrt * i_sqrt + k_full * i_full + value(gamma) + tail
+
+        return f
+
+    def over_delta(gamma, alpha):
+        if not gamma >= alpha > 0:
+            return nowhere
+        try:
+            i_sqrt = coef_s * (edge_s(gamma) - edge_s(alpha)) / div_s
+            i_full = coef_f * (edge_f(gamma) - edge_f(alpha)) / div_f
+        except (OverflowError, ValueError):
+            return nowhere
+        if not (isfinite(i_sqrt) and isfinite(i_full)):
+            return nowhere
+        four_n_alpha = four_n * alpha
+        h_gamma = value(gamma)
+
+        def f(x):
+            delta = exp(x)
+            if not 0 < delta <= 0.5:
+                return inf
+            return (
+                four_n_alpha / delta
+                + 30.0 * sqrt(two_n / delta) * i_sqrt
+                + (8.0 / delta) * i_full
+                + h_gamma
+                + three_n * delta * log(1.0 / delta)
+            )
+
+        return f
+
+    def over_alpha(gamma, delta):
+        if not 0 < delta <= 0.5:
+            return nowhere
+        try:
+            high_s, high_f = edge_s(gamma), edge_f(gamma)
+        except (OverflowError, ValueError):
+            return nowhere
+        k_sqrt = 30.0 * sqrt(two_n / delta)
+        k_full = 8.0 / delta
+        h_gamma = value(gamma)
+        tail = three_n * delta * log(1.0 / delta)
+
+        def f(x):
+            alpha = exp(x)
+            if not gamma >= alpha > 0:
+                return inf
+            try:
+                i_sqrt = coef_s * (high_s - edge_s(alpha)) / div_s
+                i_full = coef_f * (high_f - edge_f(alpha)) / div_f
+            except (OverflowError, ValueError):
+                return inf
+            if not (isfinite(i_sqrt) and isfinite(i_full)):
+                return inf
+            return (
+                four_n * alpha / delta
+                + k_sqrt * i_sqrt
+                + k_full * i_full
+                + h_gamma
+                + tail
+            )
+
+        return f
+
+    return over_gamma, over_delta, over_alpha
+
+
 def truncation_bound(H: EntropyCurve, n: int, seed: int = 0):
     """Numerically minimize the truncation-based bound over (gamma, delta,
     alpha) by log-space coordinate descent from analytic warm starts plus
-    random restarts.  Returns (value, BoundParams)."""
+    random restarts.  Each coordinate moves by a golden section on the
+    objective restricted to that coordinate.  Returns (value, BoundParams)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     obj = _truncation_objective(H, n)
+    over_gamma, over_delta, over_alpha = _line_objectives(H, n)
     rng = np.random.default_rng(seed)
     lo = math.log(1e-12)
     best_val, best_params = math.inf, None
@@ -171,22 +283,13 @@ def truncation_bound(H: EntropyCurve, n: int, seed: int = 0):
         argmin = (lg, ld, la)
         for _ in range(12):
             lg = golden_section(
-                lambda x: obj(math.exp(x), math.exp(ld), math.exp(la)),
-                max(la, lo),
-                0.0,
-                tol=1e-9,
+                over_gamma(math.exp(ld), math.exp(la)), max(la, lo), 0.0, tol=1e-9
             )
             ld = golden_section(
-                lambda x: obj(math.exp(lg), math.exp(x), math.exp(la)),
-                lo,
-                math.log(0.5),
-                tol=1e-9,
+                over_delta(math.exp(lg), math.exp(la)), lo, math.log(0.5), tol=1e-9
             )
             la = golden_section(
-                lambda x: obj(math.exp(lg), math.exp(ld), math.exp(x)),
-                lo,
-                lg,
-                tol=1e-9,
+                over_alpha(math.exp(lg), math.exp(ld)), lo, lg, tol=1e-9
             )
             new_val = obj(math.exp(lg), math.exp(ld), math.exp(la))
             if new_val >= val - 1e-12 * max(1.0, abs(val)):

@@ -3,7 +3,8 @@
 Subcommands wrap the library modules with deterministic seeding and
 machine-readable output (JSON or CSV, floats at 12 significant digits).
 Exit codes: 0 success, 1 a verification check failed, 2 configuration
-or usage error; ``main`` returns the code rather than exiting.
+or usage error, 3 internal error (any other exception); ``main`` returns
+the code rather than exiting.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import re
 import sys
+import traceback
 
 import numpy as np
 
@@ -448,6 +450,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect, not bad input: keep its traceback
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -197,15 +197,29 @@ def _as_float_array(x):
     return np.asarray(x, dtype=float)
 
 
+def _is_0d(x) -> bool:
+    """np.ndim(x) == 0, answered without numpy for Python and numpy scalars."""
+    return isinstance(x, (int, float, np.generic)) or np.ndim(x) == 0
+
+
 def _maybe_scalar(out, *inputs):
-    if all(np.isscalar(i) or np.ndim(i) == 0 for i in inputs):
+    if all(_is_0d(i) for i in inputs):
         return float(out)
     return out
 
 
 def log_loss(p, y):
     """-y log p - (1-y) log(1-p), with +inf when the realized branch has
-    probability zero."""
+    probability zero.
+
+    For a 0-d p and y only the realized branch is evaluated, by numpy's
+    scalar log or log1p, which give the same bits as the array path.
+    """
+    if _is_0d(p) and _is_0d(y):
+        p = float(p)
+        if y == 1:
+            return math.inf if p == 0 else float(-np.log(p))
+        return math.inf if p == 1 else float(-np.log1p(-p))
     p = _as_float_array(p)
     yv = _as_float_array(y)
     with np.errstate(divide="ignore"):

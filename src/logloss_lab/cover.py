@@ -11,6 +11,8 @@ groups is therefore an exact search for the minimal cover.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -258,6 +260,67 @@ def empirical_entropy_lower(rc: RestrictedClass, gamma: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+_HALF_SQRT_PI = 0.5 * math.sqrt(math.pi)
+
+
+def _zero_edge(x: float) -> float:
+    return 0.0
+
+
+def _log_edge(x: float) -> float:
+    """Antiderivative of max(0, log(1/x))."""
+    if x >= 1.0:
+        return 1.0
+    return x * (1.0 - math.log(x))
+
+
+def _log_sqrt_edge(x: float) -> float:
+    """Antiderivative of sqrt(max(0, log(1/x)))."""
+    if x >= 1.0:
+        return _HALF_SQRT_PI
+    r = math.sqrt(-math.log(x))
+    return x * r + _HALF_SQRT_PI * math.erfc(r)
+
+
+def _piecewise_linear_edge(xs, hs, sqrt: bool):
+    """Antiderivative, from xs[0], of the np.interp interpolant of (xs, hs),
+    or of its square root: linear between the knots, flat beyond them.
+
+    On a linear piece from height h0 to h1 over width w the integral is
+    w (h0 + h1) / 2, and that of the square root is
+    (2/3) w (h0 + r0 r1 + h1) / (r0 + r1) with r = sqrt(h).
+    """
+    xs = [float(x) for x in xs]
+    hs = [float(h) for h in hs]
+    if not xs:
+        raise ValueError("tabulated curve has no points")
+
+    def piece(x0, h0, x1, h1):
+        if not sqrt:
+            return 0.5 * (x1 - x0) * (h0 + h1)
+        r0, r1 = math.sqrt(h0), math.sqrt(h1)
+        if r0 + r1 == 0.0:
+            return 0.0
+        return (2.0 / 3.0) * (x1 - x0) * (h0 + r0 * r1 + h1) / (r0 + r1)
+
+    prefix = [0.0]
+    for i in range(len(xs) - 1):
+        prefix.append(prefix[-1] + piece(xs[i], hs[i], xs[i + 1], hs[i + 1]))
+    first = math.sqrt(hs[0]) if sqrt else hs[0]
+    last = math.sqrt(hs[-1]) if sqrt else hs[-1]
+
+    def edge(x):
+        if x <= xs[0]:
+            return first * (x - xs[0])
+        if x >= xs[-1]:
+            return prefix[-1] + last * (x - xs[-1])
+        i = bisect.bisect_right(xs, x) - 1
+        x0, h0, x1, h1 = xs[i], hs[i], xs[i + 1], hs[i + 1]
+        return prefix[i] + piece(x0, h0, x, h0 + (h1 - h0) * (x - x0) / (x1 - x0))
+
+    return edge
+
+
 @dataclass
 class EntropyCurve:
     """Scale -> entropy, parametric or tabulated.
@@ -305,12 +368,20 @@ class EntropyCurve:
     def value(self, gamma: float) -> float:
         if gamma <= 0:
             raise ValueError("gamma must be positive")
+        return self.unchecked_value(gamma)
+
+    @functools.cached_property
+    def unchecked_value(self):
+        """H as a plain function of gamma > 0: value() without its argument
+        check, built once per curve."""
         if self.kind == "power":
-            return self.C * gamma ** (-self.p)
+            C, minus_p = self.C, -self.p
+            return lambda gamma: C * gamma**minus_p
         if self.kind == "log":
-            return self.d * max(0.0, math.log(1.0 / gamma))
-        h = np.interp(gamma, self.gammas, self.uppers)
-        return float(h)
+            d = self.d
+            return lambda gamma: d * max(0.0, math.log(1.0 / gamma))
+        gammas, uppers = self.gammas, self.uppers
+        return lambda gamma: float(np.interp(gamma, gammas, uppers))
 
     def integral(self, alpha: float, gamma: float) -> float:
         """Integral of H over [alpha, gamma]."""
@@ -323,23 +394,50 @@ class EntropyCurve:
     def _integrate(self, a: float, b: float, sqrt: bool) -> float:
         if not 0 < a <= b:
             raise ValueError("need 0 < alpha <= gamma")
+        edge, coef, div = self.antiderivative(sqrt)
+        return coef * (edge(b) - edge(a)) / div
+
+    def antiderivative(self, sqrt: bool = False):
+        """(edge, coef, div): the integral of H (of sqrt(H) when sqrt is
+        true) over [a, b] is coef * (edge(b) - edge(a)) / div, in closed
+        form.
+
+        A caller that holds one endpoint fixed computes its edge once.  The
+        scale is a product and a quotient, not one factor, so that a power
+        curve rounds exactly as C * (b^e - a^e) / e; dividing by 1.0 is
+        exact.
+        - power: edge(x) = x^e with e = 1 - p (p/2 under sqrt), coef C and
+          div e; log(x), C and 1 when e = 0;
+        - log: x(1 + log(1/x)) with coef d; under sqrt
+          x sqrt(u) + (sqrt(pi)/2) erfc(sqrt(u)) with u = log(1/x) and coef
+          sqrt(d); both constant from x = 1 on, where H vanishes;
+        - tabulated: prefix sums of the exact per-piece integrals of the
+          np.interp interpolant (or of its square root) plus the partial
+          piece, found by bisection; coef 1.
+        """
         if self.kind == "power":
             C, p = self.C, self.p
             if C == 0:
-                return 0.0
+                return _zero_edge, 1.0, 1.0
             if sqrt:
                 C, p = math.sqrt(C), p / 2.0
             if abs(p - 1.0) < 1e-12:
-                return C * (math.log(b) - math.log(a))
+                return math.log, C, 1.0
             e = 1.0 - p
-            return C * (b**e - a**e) / e
-        # log curve and tabulated: trapezoid on a log-spaced grid
-        xs = np.exp(np.linspace(math.log(a), math.log(b), 10_000))
-        ys = np.array([self.value(x) for x in xs])
-        if sqrt:
-            ys = np.sqrt(ys)
-        trapezoid = getattr(np, "trapezoid", np.trapz)
-        return float(trapezoid(ys, xs))
+            return (lambda x: x**e), C, e
+        if self.kind == "log":
+            if sqrt:
+                return _log_sqrt_edge, math.sqrt(self.d), 1.0
+            return _log_edge, self.d, 1.0
+        return self._table_edges[sqrt], 1.0, 1.0
+
+    @functools.cached_property
+    def _table_edges(self):
+        """The tabulated curve's (edge of H, edge of sqrt H), built once."""
+        return tuple(
+            _piecewise_linear_edge(self.gammas, self.uppers, sqrt)
+            for sqrt in (False, True)
+        )
 
     def export_csv(self, path) -> None:
         if self.kind != "tabulated":

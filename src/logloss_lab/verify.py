@@ -209,11 +209,21 @@ def _check_self_concordant(resolution):
     )
 
 
+def _half_axis(check_id, resolution):
+    """The delta or eps axis (resolution, 0.5] of CLIPPING and KL_EPS."""
+    m = int(math.floor(0.5 / resolution))
+    if m == 0:
+        raise ValueError(
+            f"{check_id}: resolution {resolution:g} leaves its axis "
+            "(resolution, 0.5] empty; it needs a resolution <= 0.5"
+        )
+    return np.linspace(resolution, 0.5, m)
+
+
 def _check_clipping(resolution):
     m = int(math.floor(1.0 / resolution)) + 1
     p = np.linspace(0.0, 1.0, m)
-    md = int(math.floor(0.5 / resolution))
-    d = np.linspace(resolution, 0.5, md)
+    d = _half_axis("CLIPPING", resolution)
     clipped = np.clip(p[:, None], d[None, :], 1.0 - d[None, :])
     slack = np.stack([
         log_loss(p, y)[:, None] + 2.0 * d[None, :] - log_loss(clipped, y)
@@ -230,8 +240,7 @@ def _check_clipping(resolution):
 
 
 def _check_kl_eps(resolution):
-    me = int(math.floor(0.5 / resolution))
-    eps = np.linspace(resolution, 0.5, me)
+    eps = _half_axis("KL_EPS", resolution)
     mq = int(math.floor(1.0 / resolution)) + 1
     q = np.linspace(0.0, 1.0, mq)
     e = eps[:, None]

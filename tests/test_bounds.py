@@ -141,3 +141,139 @@ def test_fit_validation():
         fit_rate_exponent("nope", 1.0, 2.0, [2**k for k in range(10, 17)])
     with pytest.raises(ValueError):
         fit_rate_exponent("self_concordance", 1.0, 2.0, [16] * 8)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-evaluation objective and coordinate-descent loop that the
+# one-coordinate line searches replace, with the power-curve integrals and
+# H(gamma) written out inline.
+# ---------------------------------------------------------------------------
+
+
+def _reference_power_integral(C, p, a, b, sqrt):
+    if C == 0:
+        return 0.0
+    if sqrt:
+        C, p = math.sqrt(C), p / 2.0
+    if abs(p - 1.0) < 1e-12:
+        return C * (math.log(b) - math.log(a))
+    e = 1.0 - p
+    return C * (b**e - a**e) / e
+
+
+def _reference_objective(C, p, n):
+    def obj(gamma, delta, alpha):
+        if not (gamma >= alpha > 0) or not (0 < delta <= 0.5):
+            return math.inf
+        try:
+            i_sqrt = _reference_power_integral(C, p, alpha, gamma, True)
+            i_full = _reference_power_integral(C, p, alpha, gamma, False)
+        except (OverflowError, ValueError):
+            return math.inf
+        if not (math.isfinite(i_sqrt) and math.isfinite(i_full)):
+            return math.inf
+        return (
+            4.0 * n * alpha / delta
+            + 30.0 * math.sqrt(2.0 * n / delta) * i_sqrt
+            + (8.0 / delta) * i_full
+            + C * gamma ** (-p)
+            + 3.0 * n * delta * math.log(1.0 / delta)
+        )
+
+    return obj
+
+
+def _reference_truncation_bound(C, p, n, seed):
+    from logloss_lab.bounds import _warm_starts
+
+    obj = _reference_objective(C, p, n)
+    rng = np.random.default_rng(seed)
+    lo = math.log(1e-12)
+    best_val, best_params = math.inf, None
+    for g0, d0, a0 in _warm_starts(EntropyCurve.power(C, p), n, rng):
+        lg, ld, la = math.log(g0), math.log(d0), math.log(a0)
+        val = obj(g0, d0, a0)
+        argmin = (lg, ld, la)
+        for _ in range(12):
+            lg = golden_section(
+                lambda x: obj(math.exp(x), math.exp(ld), math.exp(la)),
+                max(la, lo),
+                0.0,
+                tol=1e-9,
+            )
+            ld = golden_section(
+                lambda x: obj(math.exp(lg), math.exp(x), math.exp(la)),
+                lo,
+                math.log(0.5),
+                tol=1e-9,
+            )
+            la = golden_section(
+                lambda x: obj(math.exp(lg), math.exp(ld), math.exp(x)),
+                lo,
+                lg,
+                tol=1e-9,
+            )
+            new_val = obj(math.exp(lg), math.exp(ld), math.exp(la))
+            if new_val >= val - 1e-12 * max(1.0, abs(val)):
+                if new_val < val:
+                    val, argmin = new_val, (lg, ld, la)
+                break
+            val, argmin = new_val, (lg, ld, la)
+        if val < best_val:
+            best_val = val
+            best_params = (
+                math.exp(argmin[0]),
+                math.exp(argmin[1]),
+                math.exp(argmin[2]),
+            )
+    return best_val, best_params
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
+def test_truncation_bound_matches_reference_loop(p):
+    # bit for bit: the value and all three parameters
+    for C in (0.0, 0.5, 2.0):
+        for n in (2, 2**5, 2**10, 2**15, 2**20):
+            for seed in range(3):
+                val, params = truncation_bound(EntropyCurve.power(C, p), n, seed=seed)
+                got = (val, params.gamma, params.delta, params.alpha)
+                ref_val, ref_params = _reference_truncation_bound(C, p, n, seed)
+                assert got == (ref_val, *ref_params), (C, p, n, seed)
+
+
+def _curves_of_every_kind():
+    gammas = 2.0 ** -np.arange(0, 21)
+    return [
+        EntropyCurve.power(1.0, 0.5),
+        EntropyCurve.power(1.0, 2.0),
+        EntropyCurve.zero(),
+        EntropyCurve.log_form(2.0),
+        EntropyCurve.tabulated(gammas, 0.5 / gammas, 1.0 / gammas),
+    ]
+
+
+@pytest.mark.parametrize("H", _curves_of_every_kind(), ids=lambda H: f"{H.kind}")
+def test_line_objectives_equal_full_objective(H):
+    from logloss_lab.bounds import _line_objectives, _truncation_objective
+
+    n = 3000  # not a power of two, so 4n * alpha / delta != 4n * (alpha / delta)
+    obj = _truncation_objective(H, n)
+    over_gamma, over_delta, over_alpha = _line_objectives(H, n)
+    rng = np.random.default_rng(5)
+    # log-coordinates in and around the optimiser's brackets, so some points
+    # leave the domain (alpha > gamma, delta > 1/2)
+    for lg, ld, la in rng.uniform(math.log(1e-12), 0.5, size=(1000, 3)):
+        g, d, a = math.exp(lg), math.exp(ld), math.exp(la)
+        want = obj(g, d, a)
+        assert over_gamma(d, a)(lg) == want
+        assert over_delta(g, a)(ld) == want
+        assert over_alpha(g, d)(la) == want
+
+
+@pytest.mark.parametrize("kind", ["log", "tabulated"])
+def test_truncation_bound_other_curve_kinds(kind):
+    H = _curves_of_every_kind()[3 if kind == "log" else 4]
+    for n in (2**10, 2**16):
+        val, params = truncation_bound(H, n)
+        assert math.isfinite(val) and val > 0
+        assert params.gamma >= params.alpha > 0

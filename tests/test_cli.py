@@ -110,6 +110,17 @@ def test_bounds_csv(tmp_path):
         assert float(sc) < float(tr)
 
 
+def test_bounds_log_curve(tmp_path):
+    out = tmp_path / "sweep.json"
+    code = main(["bounds", "--entropy", "log:d=2", "--n-grid", "2^10..2^12",
+                 "--out", str(out)])
+    assert code == 0
+    sweep = json.loads(out.read_text())["sweep"]
+    assert [r["n"] for r in sweep] == [1024, 2048, 4096]
+    for r in sweep:
+        assert math.isfinite(r["truncation"]) and r["truncation"] > 0
+
+
 def test_cover_subcommand(class_file, tmp_path):
     out = tmp_path / "cover.json"
     code = main(["cover", "--class", class_file, "--n", "2",
@@ -222,3 +233,24 @@ def test_exit_code_configuration_errors(capsys):
     assert main(["verify", "--checks", "all"]) == 2
     assert main(["verify", "--checks", "SC_EDGE,NO_SUCH_CHECK"]) == 2
     assert "unknown check_id" in capsys.readouterr().err
+    assert main(["verify", "--checks", "CLIPPING", "--resolution", "0.6"]) == 2
+    assert "CLIPPING: resolution 0.6" in capsys.readouterr().err
+
+
+def test_exit_code_internal_error(monkeypatch, capsys):
+    from logloss_lab import cli
+
+    def raising(exc):
+        def cmd(args):
+            raise exc
+        return cmd
+
+    argv = ["bounds", "--entropy", "log:d=2", "--n-grid", "2^10..2^12"]
+    monkeypatch.setattr(cli, "_cmd_bounds", raising(AttributeError("no trapz")))
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback")
+    assert err.endswith("internal error: AttributeError: no trapz\n")
+    monkeypatch.setattr(cli, "_cmd_bounds", raising(ValueError("bad input")))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: bad input\n"

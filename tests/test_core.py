@@ -147,6 +147,22 @@ def test_log_loss_values():
     assert out == pytest.approx([math.log(4), math.log(4)])
 
 
+def test_log_loss_scalar_path_matches_array_path():
+    rng = np.random.default_rng(11)
+    p = rng.uniform(size=2000)
+    p[:40], p[40:80] = 0.0, 1.0  # with y = 1 and y = 0 both: +inf and 0
+    rng.shuffle(p)
+    y = rng.integers(0, 2, size=p.size)
+    want = log_loss(p, y)
+    assert np.isinf(want).any()
+    for cast in (int, bool, np.int64, float):
+        got = [log_loss(pi, cast(yi)) for pi, yi in zip(p.tolist(), y.tolist())]
+        assert all(type(v) is float for v in got)
+        assert np.array_equal(got, want)
+    got = [log_loss(np.float64(pi), np.array(yi)) for pi, yi in zip(p, y)]
+    assert np.array_equal(got, want)
+
+
 def test_eta_is_loss_derivative():
     for y in (0, 1):
         for p in (0.1, 0.37, 0.9):

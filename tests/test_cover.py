@@ -145,6 +145,71 @@ def test_entropy_curve_misc():
         Hlog.integral(0.5, 0.2)
 
 
+def _dense_trapezoid(H, a, b, sqrt):
+    xs = np.exp(np.linspace(math.log(a), math.log(b), 200_000))
+    if H.kind == "log":
+        ys = H.d * np.maximum(0.0, -np.log(xs))
+    else:
+        ys = np.interp(xs, H.gammas, H.uppers)
+    return np.trapezoid(np.sqrt(ys) if sqrt else ys, xs)
+
+
+# intervals below 1, across 1, and above 1 (where H vanishes)
+_LOG_INTERVALS = [(1e-8, 1e-3), (1e-6, 0.5), (0.05, 0.7), (0.01, 3.0), (1.5, 4.0)]
+
+
+@pytest.mark.parametrize("a, b", _LOG_INTERVALS)
+@pytest.mark.parametrize("sqrt", [False, True])
+def test_log_curve_closed_forms(a, b, sqrt):
+    H = EntropyCurve.log_form(2.0)
+    got = H.integral_sqrt(a, b) if sqrt else H.integral(a, b)
+    ref = _dense_trapezoid(H, a, b, sqrt)
+    if b <= 1.0 or a < 1.0:
+        assert got == pytest.approx(ref, rel=1e-7)
+    else:
+        assert got == 0.0 and ref == 0.0
+
+
+_TABLES = {
+    # geometric knots, as the benchmark's tabulated curve
+    "geometric": (2.0 ** -np.arange(0, 21), None),
+    # unsorted input, a knot with value 0 inside, flat ends beyond 0.1 and 0.6
+    "zero_knot": ([0.6, 0.1, 0.3], [2.0, 0.0, 1.5]),
+    # a single linear piece
+    "one_piece": ([0.2, 0.4], [3.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("table", sorted(_TABLES))
+@pytest.mark.parametrize("sqrt", [False, True])
+def test_tabulated_curve_closed_forms(table, sqrt):
+    gammas, uppers = _TABLES[table]
+    if uppers is None:
+        uppers = 1.0 / gammas
+    H = EntropyCurve.tabulated(gammas, np.zeros(len(uppers)), uppers)
+    for a, b in [(1e-8, 1e-3), (1e-6, 0.5), (0.05, 0.7), (0.01, 3.0),
+                 (0.25, 0.35), (0.7, 2.0)]:
+        got = H.integral_sqrt(a, b) if sqrt else H.integral(a, b)
+        assert got == pytest.approx(_dense_trapezoid(H, a, b, sqrt), rel=1e-7)
+
+
+@pytest.mark.parametrize(
+    "H",
+    [
+        EntropyCurve.power(2.0, 1.5),
+        EntropyCurve.power(1.0, 2.0),
+        EntropyCurve.zero(),
+        EntropyCurve.log_form(2.0),
+        EntropyCurve.tabulated([0.6, 0.1, 0.3], [0.0] * 3, [2.0, 0.0, 1.5]),
+    ],
+    ids=lambda H: H.kind,
+)
+def test_integral_over_empty_interval_is_zero(H):
+    for a in (1e-9, 0.1, 0.3, 0.6, 1.0, 2.0):
+        assert H.integral(a, a) == 0
+        assert H.integral_sqrt(a, a) == 0
+
+
 def test_tabulated_curve_and_csv(tmp_path):
     curve = EntropyCurve.tabulated([0.5, 0.25], [1.0, 2.0], [1.5, 2.5])
     assert curve.value(0.25) == pytest.approx(2.5)

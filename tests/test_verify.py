@@ -38,6 +38,13 @@ def test_unknown_check():
         run_check("KL_EPS", resolution=0.0)
 
 
+@pytest.mark.parametrize("check_id", ["CLIPPING", "KL_EPS"])
+def test_resolution_that_empties_an_axis(check_id):
+    run_check(check_id, resolution=0.5)  # one point on the (res, 0.5] axis
+    with pytest.raises(ValueError, match=rf"{check_id}: resolution 0\.6"):
+        run_check(check_id, resolution=0.6)
+
+
 def test_sc_pointwise_diagonal_equality():
     # f = p gives slack exactly zero
     for p in np.linspace(0.05, 0.95, 19):
