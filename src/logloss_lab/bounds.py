@@ -79,14 +79,18 @@ def golden_section(f, lo: float, hi: float, tol: float = 1e-8) -> float:
 def self_concordance_bound(H: EntropyCurve, n: int):
     """Infimum over gamma of 4*n*gamma + c*H(gamma); returns (value,
     gamma_star).  The bracket extends below 1/n^2 while the lower endpoint
-    keeps winning, so flat curves drive the value to zero."""
+    keeps winning, so flat curves drive the value to zero.  An H(gamma)
+    that overflows counts as +inf."""
     if n < 1:
         raise ValueError("n must be >= 1")
     c = ESTIMATION_CONSTANT
 
     def obj_log(lg):
         g = math.exp(lg)
-        return 4.0 * n * g + c * H.value(g)
+        try:
+            return 4.0 * n * g + c * H.value(g)
+        except OverflowError:
+            return math.inf
 
     lo, hi = math.log(1.0 / n**2), 0.0
     while True:

@@ -6,20 +6,19 @@ history, interior nodes take a log-sum-exp over the two outcomes and a
 max over the contexts the adversary may present.  For a single available
 context per round this is the Shtarkov sum.
 
-Under `StaticContexts` the value of a history depends only on how often
-each (context, outcome) pair occurred, so the induction runs level by level
-over those count states: C(t + 2k - 1, 2k - 1) states at depth t instead of
-(2k)^t histories.  One table serves `exact_minimax`, `optimal_prediction`
-and `MinimaxOptimal`; the Bayes mixture's worst case is a max over the leaf
-count vectors, ties (regret within 1e-12 of the max) going to the
-lexicographically first sorted sequence.  Any other availability rule runs
-the recursion over histories.
+Each `GameInstance` solves this once, level by level, into one table that
+`exact_minimax`, `optimal_prediction`, `MinimaxOptimal` and the Bayes
+mixture's `worst_case_search` read: over count states under `StaticContexts`
+(how often each (context, outcome) pair occurred: C(t + 2k - 1, 2k - 1) at
+depth t, not (2k)^t histories), over histories under any other rule.
+STATE_GUARD bounds both; `worst_case_search` states the tie rule.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,9 +45,8 @@ __all__ = [
     "random_dual_strategy",
 ]
 
-NODE_GUARD = 10**8
-SEARCH_GUARD = 10**7
 STATE_GUARD = 5 * 10**6
+TIE_TOLERANCE = 1e-12
 
 
 class AvailabilityRule:
@@ -92,7 +90,7 @@ class PreviousOutcomes(AvailabilityRule):
         return 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class GameInstance:
     horizon: int
     expert_class: ExpertClass
@@ -102,11 +100,20 @@ class GameInstance:
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.availability is None:
-            self.availability = StaticContexts(self.expert_class.contexts)
+            rule = StaticContexts(self.expert_class.contexts)
+            object.__setattr__(self, "availability", rule)
 
     def estimated_nodes(self) -> float:
         k = self.availability.max_contexts()
         return sum((2.0 * k) ** t for t in range(1, self.horizon + 1))
+
+    @functools.cached_property
+    def _table(self):
+        """The game's table, built on first use (a subclass of StaticContexts
+        may vary with the history, so the count table needs the exact type)."""
+        if type(self.availability) is StaticContexts:
+            return _CountTable(self)
+        return _HistoryTable(self)
 
 
 @dataclass
@@ -144,16 +151,6 @@ def _best_expert_loss(ec: ExpertClass, contexts, outcomes) -> float:
     return 0.0 - float(np.max(ec.history_log_lik(zip(contexts, outcomes))))
 
 
-def _check_instance(g: GameInstance):
-    if g.estimated_nodes() > NODE_GUARD:
-        raise ValueError("game instance too large for exact computation")
-
-
-def _has_count_states(g: GameInstance) -> bool:
-    # exact type: a subclass may make availability depend on the history
-    return type(g.availability) is StaticContexts
-
-
 def _count_levels(k: int, n: int):
     """Every count state of depth 0..n over the 2k cells (context i,
     outcome y), cell 2i + y.
@@ -188,28 +185,33 @@ def _count_levels(k: int, n: int):
     return children, states
 
 
-def _leaf_log_lik(ec: ExpertClass, contexts, counts) -> np.ndarray:
-    """(states, experts) log likelihoods of count vectors over the cells of
-    `contexts`.  A masked sum: a count of 0 times log 0 = -inf adds 0, which
-    `counts @ log_lik` would turn into NaN.  (einsum, not BLAS: the cell
-    axis is short, and a first BLAS call allocates its buffers.)"""
-    cols = [ec.context_index(x) for x in contexts]
-    ll = ec.log_lik[:, :, cols].transpose(1, 2, 0).reshape(ec.n_experts, -1)
-    ruled_out = np.isneginf(ll)
-    total = np.einsum("sc,fc->sf", counts, np.where(ruled_out, 0.0, ll))
-    hits = np.einsum("sc,fc->sf", counts, ruled_out.astype(np.int64))
-    total[hits > 0] = -np.inf
-    return total
+class _Table:
+    """W by depth (`values[t]`, `states` nodes); a subclass lays them out."""
+
+    def child_values(self, history, x):
+        """(W0, W1) of history's two children under context x."""
+        s = 0
+        try:
+            for t, (hx, hy) in enumerate(history):
+                s = self._children(t, s, hx)[hy]
+            t = len(history)
+            w0, w1 = self.values[t + 1][self._children(t, s, x)]
+        except (KeyError, IndexError):
+            msg = "history not reachable under the availability rule"
+            raise ValueError(msg) from None
+        return float(w0), float(w1)
 
 
-class _CountTable:
+class _CountTable(_Table):
     """W over the count states of a StaticContexts game, by depth."""
 
+    solver = "counts"
+
     def __init__(self, g: GameInstance):
-        contexts = g.availability.contexts
-        self.cell = {x: i for i, x in enumerate(contexts)}
-        self.children, leaves = _count_levels(len(contexts), g.horizon)
-        w = np.max(_leaf_log_lik(g.expert_class, contexts, leaves), axis=1)
+        self.contexts = g.availability.contexts
+        self.cell = {x: i for i, x in enumerate(self.contexts)}
+        self.children, self.leaves = _count_levels(len(self.contexts), g.horizon)
+        w = np.max(self.leaf_log_lik(g.expert_class), axis=1)
         self.values = [w]
         for child in reversed(self.children):
             w_child = w[child]
@@ -218,67 +220,112 @@ class _CountTable:
         self.values.reverse()
         self.states = sum(w.size for w in self.values)
 
-    def child_values(self, history, x):
-        """(W0, W1) of history's two children under context x."""
-        s = 0
-        try:
-            for t, (hx, hy) in enumerate(history):
-                s = self.children[t][s, self.cell[hx], hy]
-        except (KeyError, IndexError):
-            raise ValueError(
-                "history not reachable under the availability rule"
-            ) from None
-        t = len(history)
-        w0, w1 = self.values[t + 1][self.children[t][s, self.cell[x]]]
-        return float(w0), float(w1)
+    def _children(self, t, s, x):
+        return self.children[t][s, self.cell[x]]
+
+    def leaf_log_lik(self, ec: ExpertClass) -> np.ndarray:
+        """(leaves, experts) log likelihoods of the leaf count vectors, a
+        masked sum: 0 counts of log 0 = -inf add 0, not NaN.  (einsum, not
+        BLAS: the cell axis is short, and a first BLAS call allocates.)"""
+        cols = [ec.context_index(x) for x in self.contexts]
+        ll = ec.log_lik[:, :, cols].transpose(1, 2, 0).reshape(ec.n_experts, -1)
+        ruled_out, counts = np.isneginf(ll), self.leaves
+        total = np.einsum("sc,fc->sf", counts, np.where(ruled_out, 0.0, ll))
+        hits = np.einsum("sc,fc->sf", counts, ruled_out.astype(np.int64))
+        total[hits > 0] = -np.inf
+        return total
+
+    def first_tie(self, ties):
+        """The lexicographically first sorted sequence (by context position,
+        then outcome) of a tied leaf: the largest tied count vector's."""
+        tied = self.leaves[ties]
+        counts = tied[np.lexsort(tied.T[::-1])[-1]]
+        cells = np.repeat(np.arange(counts.size), counts)
+        return [self.contexts[c // 2] for c in cells], [int(c % 2) for c in cells]
 
 
-def _value(g: GameInstance, history: tuple, loglik: np.ndarray) -> float:
-    """W(history); loglik holds each expert's cumulative log likelihood."""
-    if len(history) == g.horizon:
-        return float(np.max(loglik))
-    return max(
-        np.logaddexp(*_children(g, history, loglik, x))
-        for x in g.availability.available(history)
-    )
+class _HistoryTable(_Table):
+    """W over the histories of any other rule, by depth.  Edge e of a depth
+    (history, context, in the rule's order) leads to histories 2e + y of the
+    next, so each depth is in lexicographic order.  The table keeps each
+    edge's node and context column, and one depth's histories while it is
+    built.  Given a strategy, it sums its loss to every leaf (`player_loss`),
+    one `predict` per edge."""
 
+    solver = "histories"
 
-def _children(g: GameInstance, history: tuple, loglik: np.ndarray, x):
-    """(W0, W1): the values of history's two children under context x."""
-    ec = g.expert_class
-    lik = ec.log_lik[:, :, ec.context_index(x)]
-    return tuple(
-        _value(g, history + ((x, y),), loglik + lik[y]) for y in (0, 1)
-    )
+    def __init__(self, g: GameInstance, strategy=None):
+        if 1 + g.estimated_nodes() > STATE_GUARD:
+            raise ValueError("game instance too large for exact computation")
+        self.ec = ec = g.expert_class
+        self.parents, self.cols, player = [], [], np.zeros(1)
+        histories = [()]
+        for t in range(g.horizon):
+            options = [g.availability.available(h) for h in histories]
+            if any(len(xs) == 0 for xs in options):
+                raise ValueError("availability must never be empty")
+            parent = np.repeat(np.arange(len(options)), list(map(len, options)))
+            edges = [x for xs in options for x in xs]
+            self.parents.append(parent)
+            self.cols.append(np.array([ec.context_index(x) for x in edges]))
+            if strategy is not None:
+                p = np.array([strategy.predict(histories[q], x)
+                              for q, x in zip(parent.tolist(), edges)])
+                player = (player[parent, None] + log_loss(p[:, None], (0, 1))).ravel()
+            if t + 1 < g.horizon:
+                histories = [histories[q] + ((x, y),)
+                             for q, x in zip(parent.tolist(), edges) for y in (0, 1)]
+        self.player_loss = player
+        w = np.max(self.leaf_log_lik(ec), axis=1)
+        self.values = [w]
+        for parent in reversed(self.parents):
+            starts = np.flatnonzero(np.diff(parent, prepend=-1))
+            w = np.maximum.reduceat(np.logaddexp(w[0::2], w[1::2]), starts)
+            self.values.append(w)
+        self.values.reverse()
+        self.states = sum(w.size for w in self.values)
+
+    def _children(self, t, s, x):
+        lo, hi = np.searchsorted(self.parents[t], (s, s + 1))
+        hit = self.cols[t][lo:hi] == self.ec.context_index(x)
+        e = lo + np.flatnonzero(hit)[0]
+        return np.array((2 * e, 2 * e + 1))
+
+    def leaf_log_lik(self, ec: ExpertClass) -> np.ndarray:
+        """(leaves, experts) log likelihoods of the full histories."""
+        lik = ec.log_lik
+        if ec is not self.ec:
+            lik = lik[:, :, [ec.context_index(x) for x in self.ec.contexts]]
+        total = np.zeros((1, ec.n_experts))
+        for parent, cols in zip(self.parents, self.cols):
+            # child 2e + y of edge e adds lik[y, :, col] to its node's row
+            total = total[parent][:, None, :] + lik[:, :, cols].transpose(2, 0, 1)
+            total = total.reshape(-1, ec.n_experts)
+        return total
+
+    def first_tie(self, ties):
+        """The lexicographically first tied history: the first tied leaf."""
+        i, seq = int(np.argmax(ties)), []
+        for parent, cols in zip(reversed(self.parents), reversed(self.cols)):
+            e, y = divmod(i, 2)
+            seq.append((self.ec.contexts[cols[e]], y))
+            i = int(parent[e])
+        return tuple(map(list, zip(*seq[::-1])))
 
 
 def exact_minimax(g: GameInstance) -> float:
     """Value of the alternating sup/inf game, via backward induction."""
-    if _has_count_states(g):
-        return float(_CountTable(g).values[0][0])
-    _check_instance(g)
-    return _value(g, (), np.zeros(g.expert_class.n_experts))
+    return float(g._table.values[0][0])
 
 
 def optimal_prediction(g: GameInstance, history, x) -> float:
     """Saddle-point prediction exp(W1) / (exp(W0) + exp(W1)) at this node."""
-    table = _CountTable(g) if _has_count_states(g) else None
-    return _optimal_prediction(g, table, history, x)
-
-
-def _optimal_prediction(g: GameInstance, table, history, x) -> float:
-    """optimal_prediction, read from a count table when one is given."""
     history = tuple(history)
     if len(history) >= g.horizon:
         raise ValueError("history already has full length")
     if x not in g.availability.available(history):
         raise ValueError(f"context {x!r} not available after this history")
-    if table is None:
-        _check_instance(g)
-        loglik = g.expert_class.history_log_lik(history)
-        w0, w1 = _children(g, history, loglik, x)
-    else:
-        w0, w1 = table.child_values(history, x)
+    w0, w1 = g._table.child_values(history, x)
     if w0 == -math.inf and w1 == -math.inf:
         raise ValueError("both continuation values are -inf")
     return float(np.exp(w1 - np.logaddexp(w0, w1)))
@@ -342,14 +389,16 @@ def random_dual_strategy(g: GameInstance, rng) -> DualStrategy:
     # Context at (t, prefix) must be valid for every history reaching the
     # node; with the built-in rules availability depends on outcomes only,
     # so picking per-prefix (outcomes determine the prefix) is consistent.
+    # One draw per level: the per-node stream, where 1 option draws nothing.
     histories = [()]
     for t in range(1, n + 1):
-        xs = ctx.level(t)
-        for q, history in enumerate(histories):
-            options = g.availability.available(history)
-            xs[q] = options[rng.integers(len(options))]
+        options = [g.availability.available(h) for h in histories]
+        picks = rng.integers([len(xs) for xs in options])
+        level = ctx.level(t)
+        for q, (xs, i) in enumerate(zip(options, picks)):
+            level[q] = xs[i]
         if t < n:
-            histories = _child_histories(histories, xs)
+            histories = _child_histories(histories, level)
     return DualStrategy(context_tree=ctx, prob_tree=prob)
 
 
@@ -359,32 +408,20 @@ def random_dual_strategy(g: GameInstance, rng) -> DualStrategy:
 
 
 class MinimaxOptimal:
-    """Plays the saddle point of the backward-induction node.
-
-    A StaticContexts game is solved once, here, on count states; under any
-    other rule each prediction re-solves its subtree over histories.
-    `solver` names the path and `states` the nodes one solve visits.
-    """
+    """Plays the saddle point read from the game's one table; `solver` names
+    the table ("counts" or "histories") and `states` counts its nodes."""
 
     def __init__(self, game: GameInstance):
-        self.game = game
-        if _has_count_states(game):
-            self._table = _CountTable(game)
-            self.solver, self.states = "counts", self._table.states
-        else:
-            self._table = None
-            self.solver = "histories"
-            self.states = 1 + int(game.estimated_nodes())
+        self.game, table = game, game._table
+        self.solver, self.states = table.solver, table.states
 
     @property
     def value(self) -> float:
         """The game's minimax value."""
-        if self._table is None:
-            return exact_minimax(self.game)
-        return float(self._table.values[0][0])
+        return exact_minimax(self.game)
 
     def predict(self, history, x) -> float:
-        return _optimal_prediction(self.game, self._table, history, x)
+        return optimal_prediction(self.game, history, x)
 
 
 class BayesMixture:
@@ -493,71 +530,30 @@ def run_strategy(g: GameInstance, strategy, adversary) -> RegretTrace:
 
 
 def worst_case_search(g: GameInstance, strategy):
-    """Exhaustively find the (context, outcome) sequence maximizing the
-    strategy's regret; ties broken by the lexicographically smallest
-    sequence (context index first, then outcome).  Each expert's loss is
-    carried down the recursion, so a leaf costs one min.
+    """The (context, outcome) sequence maximizing the strategy's regret:
+    ((contexts, outcomes), regret).
 
-    A BayesMixture on a StaticContexts game is searched over count vectors
-    instead (see _bayes_worst_case), with its own tie rule.
+    A BayesMixture is scored at the leaves of the game's table by its exact
+    loss -log sum_f pi_f exp(L_f), L the leaf's log likelihoods (a replay of
+    its predictions agrees while no weight underflows); any other strategy
+    is walked once over the history levels, one `predict` per edge.  An
+    undefined regret (every loss infinite) scores -inf.  Ties (within
+    TIE_TOLERANCE of the max) go to the lexicographically first sequence
+    (contexts in the rule's order, then outcome); for a Bayes mixture on
+    count states, to the lexicographically first sorted sequence.
     """
-    if _has_count_states(g) and type(strategy) is BayesMixture:
-        return _bayes_worst_case(g, strategy)
-    k = g.availability.max_contexts()
-    if (2 * k) ** g.horizon > SEARCH_GUARD:
-        raise ValueError("instance too large for exhaustive search")
-
-    ec = g.expert_class
-    best = {"regret": -math.inf, "seq": None}
-
-    def recurse(history, player_loss, expert_loss):
-        if len(history) == g.horizon:
-            regret = player_loss - float(np.min(expert_loss))
-            # strict improvement keeps the lexicographically first maximizer
-            if regret > best["regret"] + 1e-15:
-                best["regret"] = regret
-                best["seq"] = tuple(list(c) for c in zip(*history))
-            return
-        for x in g.availability.available(history):
-            p_hat = strategy.predict(history, x)
-            lik = ec.log_lik[:, :, ec.context_index(x)]
-            for y in (0, 1):
-                recurse(history + ((x, y),), player_loss + log_loss(p_hat, y),
-                        expert_loss - lik[y])
-
-    recurse((), 0.0, np.zeros(ec.n_experts))
-    return best["seq"], best["regret"]
-
-
-def _bayes_worst_case(g: GameInstance, strategy: BayesMixture):
-    """worst_case_search for a Bayes mixture on a StaticContexts game.
-
-    The mixture's cumulative loss is -log sum_f pi_f exp(L_f), a function
-    of the (context, outcome) counts alone, so its regret
-    max_f L_f - logsumexp(log pi + L) is scored once per leaf count vector.
-    This is the mixture's exact regret; a replay of its floating-point
-    predictions agrees while no posterior weight underflows.  A count
-    vector that rules out every expert scores -inf.  Ties: among the count
-    vectors whose regret is within 1e-12 of the max, the one whose sorted
-    sequence (rounds ordered by context position, then outcome) is
-    lexicographically first, i.e. the lexicographically largest count
-    vector; that sorted sequence is returned.
-    """
-    contexts = g.availability.contexts
-    _, leaves = _count_levels(len(contexts), g.horizon)
-    best = np.max(_leaf_log_lik(g.expert_class, contexts, leaves), axis=1)
-    mix = strategy.log_prior + _leaf_log_lik(
-        strategy.expert_class, contexts, leaves
-    )
-    top = np.max(mix, axis=1)
-    shift = np.where(np.isfinite(top), top, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mixture = shift + np.log(np.sum(np.exp(mix - shift[:, None]), axis=1))
-        regret = best - mixture
+    if type(strategy) is BayesMixture:
+        table = g._table
+        mix = strategy.log_prior + table.leaf_log_lik(strategy.expert_class)
+        top = np.max(mix, axis=1)
+        shift = np.where(np.isfinite(top), top, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            loss = -(shift + np.log(np.sum(np.exp(mix - shift[:, None]), axis=1)))
+    else:
+        table = _HistoryTable(g, strategy)
+        loss = table.player_loss
+    with np.errstate(invalid="ignore"):
+        regret = loss + table.values[-1]
     regret[np.isnan(regret)] = -np.inf
     worst = float(np.max(regret))
-    ties = leaves[regret >= worst - 1e-12]
-    counts = ties[np.lexsort(ties.T[::-1])[-1]]
-    cells = np.repeat(np.arange(counts.size), counts)
-    seq = ([contexts[c // 2] for c in cells], [int(c % 2) for c in cells])
-    return seq, worst
+    return table.first_tie(regret >= worst - TIE_TOLERANCE), worst

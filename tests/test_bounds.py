@@ -38,6 +38,16 @@ def test_single_scale_closed_form():
         assert gstar == pytest.approx(math.sqrt(c * C / (4.0 * n)), rel=1e-4)
 
 
+def test_single_scale_survives_an_overflowing_curve():
+    # C * gamma**-80 overflows a double below gamma ~ 1.4e-4, well inside the
+    # bracket [1/n^2, 1]; such points score +inf instead of raising
+    val, gstar = self_concordance_bound(EntropyCurve.power(1.0, 80.0), 1024)
+    assert math.isfinite(val) and val > 0
+    assert 1.0 / 1024**2 < gstar <= 1.0
+    c = ESTIMATION_CONSTANT
+    assert val == pytest.approx(4.0 * 1024 * gstar + c * gstar**-80.0)
+
+
 def test_single_scale_general_power():
     # stationarity: 4n = c C p gamma^{-p-1}
     H = EntropyCurve.power(2.0, 2.5)

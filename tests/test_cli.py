@@ -121,6 +121,15 @@ def test_bounds_log_curve(tmp_path):
         assert math.isfinite(r["truncation"]) and r["truncation"] > 0
 
 
+def test_bounds_steep_power_curve(tmp_path):
+    out = tmp_path / "sweep.json"
+    code = main(["bounds", "--entropy", "pow:p=80,C=1",
+                 "--n-grid", "2^10..2^11", "--out", str(out)])
+    assert code == 0
+    for r in json.loads(out.read_text())["sweep"]:
+        assert math.isfinite(r["self_concordance"])
+
+
 def test_cover_subcommand(class_file, tmp_path):
     out = tmp_path / "cover.json"
     code = main(["cover", "--class", class_file, "--n", "2",

@@ -78,8 +78,8 @@ def reference_dual_value(g, s):
 
 
 class _SameEveryRound(AvailabilityRule):
-    """StaticContexts as a custom rule, which takes the history recursion:
-    the reference for the count-state solver."""
+    """StaticContexts as a custom rule, which takes the history table: the
+    reference for the count-state solver."""
 
     def __init__(self, contexts):
         self.contexts = tuple(contexts)
@@ -89,6 +89,70 @@ class _SameEveryRound(AvailabilityRule):
 
     def max_contexts(self):
         return len(self.contexts)
+
+
+class _Ragged(AvailabilityRule):
+    """1..k contexts, how many and in which order set by the history: the
+    history table's levels are ragged and its context order matters."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def available(self, history):
+        ones = sum(y for _, y in history)
+        xs = tuple(range((len(history) + ones) % self.k + 1))
+        return xs[::-1] if ones % 2 else xs
+
+    def max_contexts(self):
+        return self.k
+
+
+def reference_value(g, history, loglik):
+    """W(history) by the per-node recursion the history table replaced;
+    loglik holds each expert's cumulative log likelihood."""
+    if len(history) == g.horizon:
+        return float(np.max(loglik))
+    return max(
+        np.logaddexp(*reference_children(g, history, loglik, x))
+        for x in g.availability.available(history)
+    )
+
+
+def reference_children(g, history, loglik, x):
+    """(W0, W1): the values of history's two children under context x."""
+    ec = g.expert_class
+    lik = ec.log_lik[:, :, ec.context_index(x)]
+    return tuple(
+        reference_value(g, history + ((x, y),), loglik + lik[y])
+        for y in (0, 1)
+    )
+
+
+class _ReferencePlayer:
+    """MinimaxOptimal by the recursion: each prediction re-solves its
+    subtree."""
+
+    def __init__(self, g):
+        self.g = g
+
+    def predict(self, history, x):
+        loglik = self.g.expert_class.history_log_lik(history)
+        w0, w1 = reference_children(self.g, tuple(history), loglik, x)
+        if w0 == -math.inf and w1 == -math.inf:
+            raise ValueError("both continuation values are -inf")
+        return float(np.exp(w1 - np.logaddexp(w0, w1)))
+
+
+def full_histories(g):
+    """Every history of full length, in lexicographic order (contexts in
+    the rule's order, then outcome)."""
+    level = [()]
+    for _ in range(g.horizon):
+        level = [
+            h + ((x, y),)
+            for h in level for x in g.availability.available(h) for y in (0, 1)
+        ]
+    return level
 
 
 def _with_exact_zeros_and_ones(rng, size):
@@ -209,6 +273,141 @@ def test_count_states_match_history_recursion():
         for a, b in ((got.player_loss, want.player_loss),
                      (got.best_expert_loss, want.best_expert_loss)):
             _same_or_close(a, b)
+
+
+def _history_game(rng):
+    """A random PreviousOutcomes game (n <= 7) or ragged game (at most 512
+    leaves), expert tables with exact 0/1 entries."""
+    n_experts = int(rng.integers(1, 5))
+    if rng.uniform() < 0.5:
+        n = int(rng.integers(1, 8))
+        contexts = [
+            c for m in range(n) for c in itertools.product((0, 1), repeat=m)
+        ]
+        rule = PreviousOutcomes()
+    else:
+        k = int(rng.integers(1, 4))
+        n = min(int(rng.integers(1, 8)), int(math.log(512, 2 * k) + 1e-9))
+        contexts = list(range(k))
+        rule = _Ragged(k)
+    table = _with_exact_zeros_and_ones(rng, (n_experts, len(contexts)))
+    ec = ExpertClass(contexts=contexts, experts=table)
+    return GameInstance(horizon=n, expert_class=ec, availability=rule)
+
+
+def _same_trace(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert (got.contexts, got.outcomes) == (want.contexts, want.outcomes)
+    assert got.predictions == want.predictions
+    for a, b in ((got.player_loss, want.player_loss),
+                 (got.best_expert_loss, want.best_expert_loss),
+                 (got.regret, want.regret)):
+        assert a == b or (math.isnan(a) and math.isnan(b))
+
+
+def test_history_table_matches_recursion():
+    rng = np.random.default_rng(909)
+    for _ in range(200):
+        g = _history_game(rng)
+        zeros = np.zeros(g.expert_class.n_experts)
+        value = exact_minimax(g)
+        assert value == reference_value(g, (), zeros)
+        player, reference = MinimaxOptimal(g), _ReferencePlayer(g)
+        assert player.value == value
+        assert player.solver == "histories"
+        level = [()]
+        for _ in range(g.horizon):
+            for history in level:
+                for x in g.availability.available(history):
+                    got = _or_error(optimal_prediction, g, history, x)
+                    assert got == _or_error(reference.predict, history, x)
+                    assert _or_error(player.predict, history, x) == got
+            level = [h + ((x, y),) for h in level
+                     for x in g.availability.available(h) for y in (0, 1)]
+        assert player.states == 1 + sum(
+            len(full_histories(GameInstance(t, g.expert_class, g.availability)))
+            for t in range(1, g.horizon + 1)
+        )
+        dual = random_dual_strategy(g, rng)
+        probs = _with_exact_zeros_and_ones(rng, (1 << g.horizon) - 1)
+        seed = int(rng.integers(2**31))
+        traces = [
+            _or_error(run_strategy, g, strat, StochasticAdversary(
+                dual.context_tree, BinaryTree(g.horizon, values=probs), seed
+            ))
+            for strat in (player, reference)
+        ]
+        _same_trace(*traces)
+        _check_worst_cases(g)
+
+
+def exact_mixture_worst_case(g, strategy):
+    """worst_case_search for a Bayes mixture as a loop over every full
+    history, scored by the mixture's exact regret
+    max_f L_f - log sum_f pi_f exp(L_f) rather than by a replay of its
+    predictions: the first history within 1e-12 of the max, -inf for a
+    history that rules out every expert."""
+    scored = []
+    for seq in full_histories(g):
+        best = float(np.max(g.expert_class.history_log_lik(seq)))
+        v = strategy.log_prior + strategy.expert_class.history_log_lik(seq)
+        top = float(np.max(v))
+        if top == -math.inf:
+            scored.append((seq, -math.inf))
+            continue
+        mixture = top + math.log(sum(math.exp(a - top) for a in v))
+        scored.append((seq, best - mixture))
+    worst = max(r for _, r in scored)
+    return next(_split(seq) for seq, r in scored if r >= worst - 1e-12), worst
+
+
+def _check_worst_cases(g):
+    """worst_case_search on a history game against loops over every full
+    history: the Bayes mixture (also through an expert class with its
+    columns reversed) by its exact regret, two other strategies by replay."""
+    ec = g.expert_class
+    flipped = ExpertClass(ec.contexts[::-1], ec.experts[:, ::-1])
+    for strat in (BayesMixture(ec), BayesMixture(flipped), MinimaxOptimal(g),
+                  ConstantStrategy(0.3)):
+        got = _or_error(worst_case_search, g, strat)
+        loop = (exact_mixture_worst_case if type(strat) is BayesMixture
+                else brute_force_worst_case)
+        want = _or_error(loop, g, strat)
+        if isinstance(want, str):  # a prediction with both values -inf
+            assert got == want
+            continue
+        assert got[0] == want[0]
+        assert got[1] == pytest.approx(want[1], abs=1e-12)
+
+
+def test_unreachable_histories_same_message_on_both_tables():
+    ec = ExpertClass(contexts=["a", "b"], experts=[[0.2, 0.6], [0.8, 0.4]])
+    count = GameInstance(3, ec, StaticContexts(["a"]))
+    hist = GameInstance(3, ec, _SameEveryRound(["a"]))
+    for history in ((("b", 1),), (("a", 2),), (("a", 0), ("c", 1))):
+        got = _or_error(optimal_prediction, count, history, "a")
+        assert got == "history not reachable under the availability rule"
+        assert _or_error(optimal_prediction, hist, history, "a") == got
+    ctx = [(), (0,), (1,)]
+    prev = GameInstance(2, ExpertClass(ctx, np.full((2, 3), 0.5)),
+                        PreviousOutcomes())
+    assert _or_error(optimal_prediction, prev, (((), 2),), (2,)) == got
+    assert 0.0 < optimal_prediction(prev, (((), 1),), (1,)) < 1.0
+
+
+def test_one_table_per_game():
+    ec = ExpertClass(contexts=[(), (0,), (1,)], experts=[[0.2, 0.6, 0.1]])
+    for rule in (None, PreviousOutcomes()):
+        g = GameInstance(horizon=2, expert_class=ec, availability=rule)
+        table = g._table
+        x = g.availability.available(())[0]
+        exact_minimax(g)
+        optimal_prediction(g, (), x)
+        MinimaxOptimal(g).predict((), x)
+        worst_case_search(g, BayesMixture(ec))
+        assert g._table is table
 
 
 def _log_binom(n, j):
@@ -393,12 +592,22 @@ def test_instance_guards():
                   lambda g: worst_case_search(g, BayesMixture(wide))):
         with pytest.raises(ValueError):
             solve(big)
-    # no count states here: the history guard still applies
-    prev = GameInstance(
-        horizon=30, expert_class=ec, availability=PreviousOutcomes()
-    )
-    with pytest.raises(ValueError):
-        exact_minimax(prev)
+    # no count states here: the same guard counts histories, 2^31 - 1 of
+    # them, and at horizon 22 2^23 - 1 (the guard is 5e6)
+    for n in (30, 22):
+        prev = GameInstance(
+            horizon=n, expert_class=ec, availability=PreviousOutcomes()
+        )
+        for solve in (exact_minimax, MinimaxOptimal,
+                      lambda g: optimal_prediction(g, (), ()),
+                      lambda g: worst_case_search(g, BayesMixture(ec)),
+                      lambda g: worst_case_search(g, ConstantStrategy(0.5))):
+            with pytest.raises(ValueError, match="too large"):
+                solve(prev)
+    # the walk of every other strategy counts its histories too: 4^12
+    with pytest.raises(ValueError, match="too large"):
+        worst_case_search(GameInstance(horizon=12, expert_class=wide),
+                          ConstantStrategy(0.5))
     with pytest.raises(ValueError):
         StaticContexts(())
 
@@ -416,8 +625,7 @@ def brute_force_regrets(g, strategy):
     """(sequence, regret) for every (context, outcome) sequence in
     lexicographic order, each scored from scratch with core.log_loss."""
     ec = g.expert_class
-    pairs = [(x, y) for x in g.availability.available(()) for y in (0, 1)]
-    for seq in itertools.product(pairs, repeat=g.horizon):
+    for seq in full_histories(g):
         player = 0.0
         experts = np.zeros(ec.n_experts)
         for t, (x, y) in enumerate(seq):
@@ -432,12 +640,13 @@ def _split(seq):
 
 def brute_force_worst_case(g, strategy):
     """worst_case_search as a loop: the first sequence in lexicographic
-    order that beats every earlier one by more than 1e-15."""
-    best_regret, best_seq = -math.inf, None
-    for seq, regret in brute_force_regrets(g, strategy):
-        if regret > best_regret + 1e-15:
-            best_regret, best_seq = regret, _split(seq)
-    return best_seq, best_regret
+    order whose regret is within 1e-12 of the max, NaN read as -inf."""
+    scored = [
+        (seq, -math.inf if math.isnan(r) else r)
+        for seq, r in brute_force_regrets(g, strategy)
+    ]
+    top = max(r for _, r in scored)
+    return next(_split(seq) for seq, r in scored if r >= top - 1e-12), top
 
 
 def test_worst_case_search_matches_brute_force():
@@ -445,7 +654,7 @@ def test_worst_case_search_matches_brute_force():
     # vectors, and its tie rule differs from the loop's: of the sequences
     # within 1e-12 of the max, the lexicographically first sorted one.
     # At this seed, iterations 11 and 17 are exact ties (regret log 3 and
-    # log 2) that the loop resolves by summation noise.
+    # log 2) whose sequences differ in summation noise.
     rng = np.random.default_rng(17)
     for _ in range(20):
         k = int(rng.integers(1, 3))
@@ -464,12 +673,15 @@ def test_worst_case_search_matches_brute_force():
         top = max(r for _, r in scored)
         ties = [sorted(s) for s, r in scored if r >= top - 1e-12]
         assert seq == _split(min(ties))
-        # the history recursion stays the reference for other strategies
+        # on histories the first sequence within 1e-12 of the max wins
         rule = _SameEveryRound(ec.contexts)
         g_hist = GameInstance(horizon=n, expert_class=ec, availability=rule)
         hist_seq, hist_regret = worst_case_search(g_hist, BayesMixture(ec))
         assert hist_seq == ref_seq
         assert hist_regret == pytest.approx(ref_regret, abs=1e-12)
+        for strat in (MinimaxOptimal(g), ConstantStrategy(0.3)):
+            walked = worst_case_search(g, strat)
+            assert walked[0] == brute_force_worst_case(g, strat)[0]
 
 
 def test_bayes_mixture_once_every_expert_is_ruled_out():
@@ -545,6 +757,45 @@ def test_dual_unavailable_context():
     g3 = GameInstance(horizon=3, expert_class=ec)
     with pytest.raises(ValueError):
         dual_value(g3, DualStrategy(context_tree=ctx3, prob_tree=tiny))
+
+
+def reference_random_dual_strategy(g, rng):
+    """random_dual_strategy with one draw per node."""
+    n = g.horizon
+    prob = BinaryTree(n, values=rng.uniform(size=(1 << n) - 1))
+    ctx = BinaryTree(n, values=np.empty((1 << n) - 1, dtype=object))
+    histories = [()]
+    for t in range(1, n + 1):
+        xs = ctx.level(t)
+        for q, history in enumerate(histories):
+            options = g.availability.available(history)
+            xs[q] = options[rng.integers(len(options))]
+        if t < n:
+            histories = [
+                h + ((x, y),) for y in (0, 1) for h, x in zip(histories, xs)
+            ]
+    return DualStrategy(context_tree=ctx, prob_tree=prob)
+
+
+def test_random_dual_strategy_matches_per_node_draws():
+    games = []
+    for k in (1, 2, 3):
+        ec = ExpertClass(contexts=list(range(k)), experts=np.full((2, k), 0.5))
+        games += [GameInstance(n, ec) for n in (1, 4, 6)]
+        games.append(GameInstance(5, ec, _Ragged(k)))
+    prev_ec = ExpertClass(
+        contexts=[c for m in range(4) for c in itertools.product((0, 1), repeat=m)],
+        experts=np.full((1, 15), 0.5),
+    )
+    games.append(GameInstance(4, prev_ec, PreviousOutcomes()))
+    for g in games:
+        for seed in range(60):
+            rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
+            got = random_dual_strategy(g, rng)
+            want = reference_random_dual_strategy(g, ref_rng)
+            assert list(got.context_tree.values) == list(want.context_tree.values)
+            assert np.array_equal(got.prob_tree.values, want.prob_tree.values)
+            assert rng.uniform() == ref_rng.uniform()
 
 
 def test_random_dual_strategy_pinned_draw():
