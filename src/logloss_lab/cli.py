@@ -94,18 +94,23 @@ def _parse_n_grid(text: str):
 
 def _parse_entropy(text: str) -> cover_mod.EntropyCurve:
     kind, _, rest = text.partition(":")
+    keys = {"pow": ("C", "p"), "log": ("d",)}.get(kind)
+    if keys is None:
+        raise ValueError(f"unknown entropy spec: {text!r}")
     params = {}
     if rest:
         for tok in rest.split(","):
             k, _, v = tok.partition("=")
+            if k not in keys:
+                raise ValueError(
+                    f"entropy spec {text!r}: {kind} takes only {', '.join(keys)}"
+                )
             params[k] = float(v)
     if kind == "pow":
         return cover_mod.EntropyCurve.power(
             params.get("C", 1.0), params.get("p", 1.0)
         )
-    if kind == "log":
-        return cover_mod.EntropyCurve.log_form(params.get("d", 1.0))
-    raise ValueError(f"unknown entropy spec: {text!r}")
+    return cover_mod.EntropyCurve.log_form(params.get("d", 1.0))
 
 
 def _effective_config(args) -> dict:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -450,77 +451,75 @@ class EntropyCurve:
 
 @dataclass
 class LipschitzGridFamily:
-    """1-Lipschitz functions on [0,1] discretized to a regular grid.
-
-    For each scale the grid spacing is 4*gamma and values are quantized to
-    steps of 2*gamma, so adjacent values may move by up to two quantization
-    steps.  Only dim == 1 is enumerated.
-    """
+    """1-Lipschitz functions on [0,1] on a grid of spacing 4*gamma, valued
+    on a lattice of step 2*gamma: walks that move at most two lattice steps
+    between grid points (gamma < 1).  Only dim == 1 exists."""
 
     dim: int = 1
-    max_functions: int = 10**6
 
-    def enumerate_values(self, gamma: float) -> np.ndarray:
+    def __post_init__(self):
         if self.dim != 1:
-            raise NotImplementedError("grid enumeration implemented for dim=1")
-        if gamma >= 1.0:
-            return np.array([[0.5]])
-        spacing = 4.0 * gamma
-        step = 2.0 * gamma
-        n_points = int(math.floor(1.0 / spacing)) + 1
-        levels = int(math.floor(1.0 / step)) + 1
-        if levels < 2:
-            raise ValueError("resolution too coarse for this gamma")
-        max_jump = int(math.floor(spacing / step))  # slope constraint
-        funcs = [[v] for v in range(levels)]
-        for _ in range(n_points - 1):
-            new = []
-            for f in funcs:
-                last = f[-1]
-                for v in range(
-                    max(0, last - max_jump), min(levels - 1, last + max_jump) + 1
-                ):
-                    new.append(f + [v])
-                    if len(new) > self.max_functions:
-                        raise ValueError("function enumeration cap exceeded")
-            funcs = new
-        return np.asarray(funcs, dtype=float) * step
+            raise ValueError(f"Lipschitz grid family needs dim=1, got {self.dim}")
+
+
+CELL_GUARD = 10**6  # bounds one curve scale's grid points x lattice levels
+
+
+def _walks(levels: int, points: int, jump: int) -> int:
+    """Number of integer walks of `points` values in [0, levels) whose steps
+    move at most `jump`: a banded transfer matrix applied by prefix sums,
+    in Python ints, so large counts stay exact."""
+    ways = [1] * levels  # walks so far that end at each value
+    for _ in range(points - 1):
+        prefix = list(itertools.accumulate(ways, initial=0))
+        ways = [prefix[min(v + jump + 1, levels)] - prefix[max(v - jump, 0)]
+                for v in range(levels)]
+    return sum(ways)
 
 
 def entropy_curve_estimate(
     class_family: LipschitzGridFamily, gammas, n: int
 ) -> EntropyCurve:
-    """Tabulated entropy curve for the Lipschitz grid family.
+    """Tabulated entropy curve for the Lipschitz grid family; n is unused.
 
-    At each scale the upper bound is the log of the number of enumerated
-    functions: they are pairwise distinct on the value lattice of step
-    2 gamma, so each is its own radius-gamma cover cell.  The lower bound
-    is the log of a first-fit packing at separation > 2 gamma, taken in
-    enumeration order.
+    At each scale the upper bound is the log of the number of functions:
+    distinct lattice walks, each its own radius-gamma cover cell.  The
+    lower bound is the log of the number of walks on the even sublattice,
+    a packing: two differ by 4 gamma > 2 gamma at some grid point.  Both
+    are exact counts.  A gamma that is not finite and positive, or past
+    CELL_GUARD (gamma below about 2^-11.5), raises ValueError.
 
-    The fitted log-log slope against 1/gamma is stored as curve.slope, and
-    the counts behind each scale as curve.counts, a list of
-    {"gamma", "functions", "packing"} dicts.
+    curve.slope is the fitted log-log slope against 1/gamma; curve.counts
+    lists {"gamma", "functions", "packing"} per scale.
     """
     gammas = sorted(float(g) for g in gammas)
     lowers, uppers, counts = [], [], []
     for g in gammas:
-        values = class_family.enumerate_values(g)
-        functions = len(values)
-        packing = _greedy_packing_size(values, g)
+        if not (math.isfinite(g) and g > 0):
+            raise ValueError(f"gamma must be finite and positive, got {g!r}")
+        if g >= 1.0:
+            functions = packing = 1
+        else:
+            spacing, step = 4.0 * g, 2.0 * g
+            # clamped so that floor() stays finite; the guard then fires
+            n_points = math.floor(min(1.0 / spacing, CELL_GUARD)) + 1
+            levels = math.floor(min(1.0 / step, CELL_GUARD)) + 1
+            if levels < 2:
+                raise ValueError("resolution too coarse for this gamma")
+            if n_points * levels > CELL_GUARD:
+                raise ValueError(f"gamma {g!r} is past CELL_GUARD = {CELL_GUARD}")
+            max_jump = math.floor(spacing / step)  # slope constraint
+            functions = _walks(levels, n_points, max_jump)
+            packing = _walks((levels + 1) // 2, n_points, max_jump // 2)
         lowers.append(math.log(packing))
         uppers.append(math.log(functions))
         counts.append({"gamma": g, "functions": functions, "packing": packing})
     curve = EntropyCurve.tabulated(gammas, lowers, uppers)
-    mids = [
-        0.5 * (lo + up) for lo, up in zip(curve.lowers, curve.uppers)
-    ]
-    xs = np.log(1.0 / curve.gammas)
-    ok = np.array([m > 0 for m in mids])
+    mids = 0.5 * (curve.lowers + curve.uppers)
+    ok = mids > 0
+    curve.slope = float("nan")
     if ok.sum() >= 2:
-        slope = float(np.polyfit(xs[ok], np.log(np.array(mids)[ok]), 1)[0])
-    else:
-        slope = float("nan")
-    curve.slope = slope
+        xs = np.log(1.0 / curve.gammas)
+        curve.slope = float(np.polyfit(xs[ok], np.log(mids[ok]), 1)[0])
     curve.counts = counts
     return curve

@@ -39,6 +39,16 @@ def test_parse_entropy():
         _parse_entropy("bogus:p=1")
 
 
+def test_parse_entropy_rejects_unknown_keys():
+    for spec in ("pow:P=2,c=3", "log:p=2", "pow:d=1", "log:d=1,C=2"):
+        with pytest.raises(ValueError, match="takes only"):
+            _parse_entropy(spec)
+        assert main(["bounds", "--entropy", spec, "--n-grid", "1024"]) == 2
+    # an empty spec keeps the defaults C = 1, p = 1 and d = 1
+    assert _parse_entropy("pow").value(0.5) == 2.0
+    assert _parse_entropy("log").value(0.5) == math.log(2)
+
+
 def test_minimax_subcommand(class_file, tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["minimax", "--class", class_file, "--n", "3",
@@ -154,6 +164,15 @@ def test_cover_curve_reports_counts(tmp_path):
     assert [c["upper"] for c in report["curve"]] == pytest.approx(
         np.log([75, 9]), rel=1e-11
     )
+
+
+def test_cover_input_errors_exit_2(capsys):
+    assert main(["cover", "--dim", "2"]) == 2
+    assert "dim=1" in capsys.readouterr().err
+    assert main(["cover", "--gammas", "0"]) == 2
+    assert "finite and positive" in capsys.readouterr().err
+    assert main(["cover", "--gammas", "1e-300"]) == 2
+    assert "CELL_GUARD" in capsys.readouterr().err
 
 
 def test_assouad_subcommand(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -6,6 +7,7 @@ import pytest
 
 from logloss_lab.core import BinaryTree, ExpertClass
 from logloss_lab.cover import (
+    CELL_GUARD,
     EntropyCurve,
     LipschitzGridFamily,
     SequentialCover,
@@ -16,6 +18,7 @@ from logloss_lab.cover import (
     sequential_cover_exact,
     sequential_cover_greedy,
     _greedy_packing_size,
+    _walks,
 )
 
 
@@ -220,9 +223,35 @@ def test_tabulated_curve_and_csv(tmp_path):
     assert len(lines) == 3
 
 
+def enumerate_lipschitz(gamma, max_functions=10**6):
+    """Every function of the Lipschitz grid family at scale gamma, as rows
+    of values: the enumeration that the walk counts replace."""
+    if gamma >= 1.0:
+        return np.array([[0.5]])
+    spacing = 4.0 * gamma
+    step = 2.0 * gamma
+    n_points = int(math.floor(1.0 / spacing)) + 1
+    levels = int(math.floor(1.0 / step)) + 1
+    if levels < 2:
+        raise ValueError("resolution too coarse for this gamma")
+    max_jump = int(math.floor(spacing / step))  # slope constraint
+    funcs = [[v] for v in range(levels)]
+    for _ in range(n_points - 1):
+        new = []
+        for f in funcs:
+            last = f[-1]
+            for v in range(
+                max(0, last - max_jump), min(levels - 1, last + max_jump) + 1
+            ):
+                new.append(f + [v])
+                if len(new) > max_functions:
+                    raise ValueError("function enumeration cap exceeded")
+        funcs = new
+    return np.asarray(funcs, dtype=float) * step
+
+
 def test_lipschitz_enumeration_small():
-    fam = LipschitzGridFamily()
-    vals = fam.enumerate_values(0.25)
+    vals = enumerate_lipschitz(0.25)
     # spacing 1.0: two grid points; levels {0, 0.5, 1.0}; slope <= 1
     assert vals.shape[1] == 2
     assert np.all(np.abs(np.diff(vals, axis=1)) <= 1.0 + 1e-12)
@@ -232,9 +261,8 @@ def test_lipschitz_enumeration_small():
 
 
 def test_lipschitz_dim_guard():
-    fam = LipschitzGridFamily(dim=2)
-    with pytest.raises(NotImplementedError):
-        fam.enumerate_values(0.25)
+    with pytest.raises(ValueError, match="dim=1"):
+        LipschitzGridFamily(dim=2)
 
 
 def test_entropy_estimate_sandwich_and_slope():
@@ -266,9 +294,8 @@ def _pairwise_packing_size(points, gamma):
 
 
 def test_greedy_packing_matches_pairwise_loop():
-    fam = LipschitzGridFamily()
     for g in _ENUMERABLE_GAMMAS:
-        values = fam.enumerate_values(g)
+        values = enumerate_lipschitz(g)
         assert _greedy_packing_size(values, g) == _pairwise_packing_size(values, g)
     rng = np.random.default_rng(5)
     for _ in range(30):
@@ -279,3 +306,59 @@ def test_greedy_packing_matches_pairwise_loop():
             points = np.round(points * 8) / 8
         g = float(rng.choice([0.0625, 0.1, 0.25, rng.uniform(0.01, 0.5)]))
         assert _greedy_packing_size(points, g) == _pairwise_packing_size(points, g)
+
+
+def test_walks_match_brute_force():
+    for levels, points, jump in itertools.product(range(1, 6), range(1, 5),
+                                                  range(0, 4)):
+        walks = [
+            w for w in itertools.product(range(levels), repeat=points)
+            if all(abs(a - b) <= jump for a, b in zip(w, w[1:]))
+        ]
+        assert _walks(levels, points, jump) == len(walks)
+
+
+# every scale from 1 down to where enumeration stops fitting
+_COUNTED_GAMMAS = [1.0, 0.5, 0.3, 0.25, 0.2, 0.15, 0.125, 0.11, 0.1, 0.09,
+                   0.08, 0.07, 0.0625, 0.06]
+
+
+@pytest.mark.parametrize("gamma", _COUNTED_GAMMAS)
+def test_walk_counts_match_enumeration(gamma):
+    values = enumerate_lipschitz(gamma)
+    curve = entropy_curve_estimate(LipschitzGridFamily(), [gamma], n=0)
+    assert curve.counts == [{
+        "gamma": gamma,
+        "functions": len(values),
+        "packing": _greedy_packing_size(values, gamma),
+    }]
+
+
+def test_coarse_scale_raises_as_enumeration_did():
+    for gamma in (0.6, 0.99):
+        with pytest.raises(ValueError, match="resolution too coarse"):
+            enumerate_lipschitz(gamma)
+        with pytest.raises(ValueError, match="resolution too coarse"):
+            entropy_curve_estimate(LipschitzGridFamily(), [gamma], n=0)
+
+
+def test_entropy_curve_reach():
+    gammas = [2.0**-k for k in range(4, 12)]
+    curve = entropy_curve_estimate(LipschitzGridFamily(), gammas, n=0)
+    assert np.all(curve.lowers <= curve.uppers)
+    assert abs(curve.slope - 1.0) <= 0.3
+    # 513 grid points x 1025 levels: the enumeration stopped near 2^-4
+    assert curve.counts[0]["gamma"] == 2.0**-11
+    assert curve.counts[0]["functions"] > 10**300
+
+
+def test_entropy_curve_rejects_bad_scales():
+    fam = LipschitzGridFamily()
+    for gamma in (0.0, -0.25, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            entropy_curve_estimate(fam, [0.25, gamma], n=0)
+    # 1025 grid points x 2049 levels; subnormal scales overflow 1/gamma
+    assert 1025 * 2049 > CELL_GUARD
+    for gamma in (2.0**-12, 1e-300, 5e-324):
+        with pytest.raises(ValueError, match="CELL_GUARD"):
+            entropy_curve_estimate(fam, [gamma], n=0)
