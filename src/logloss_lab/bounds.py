@@ -361,4 +361,5 @@ def fit_rate_exponent(bound: str, C: float, p: float, n_grid) -> float:
         else:
             raise ValueError(f"unknown bound: {bound!r}")
         vals.append(v)
-    return float(np.polyfit(np.log(n_grid), np.log(vals), 1)[0])
+    logn = np.log([float(n) for n in n_grid])  # ints from 2^63 make an object array
+    return float(np.polyfit(logn, np.log(vals), 1)[0])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import traceback
@@ -198,6 +199,8 @@ def _cmd_minimax(args):
 
 
 def _cmd_dual(args):
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     ec = load_expert_class(args.class_file)
     g = game_mod.GameInstance(horizon=args.n, expert_class=ec)
     primal = game_mod.exact_minimax(g)
@@ -206,7 +209,7 @@ def _cmd_dual(args):
         game_mod.dual_value(g, game_mod.random_dual_strategy(g, rng))
         for _ in range(args.samples)
     ]
-    best = max(duals) if duals else float("-inf")
+    best = max(duals)
     report = {
         "subcommand": "dual",
         "n": args.n,
@@ -223,6 +226,9 @@ def _cmd_dual(args):
 def _cmd_cover(args):
     gammas = [float(g) for g in args.gammas.split(",")]
     if args.class_file is not None:
+        for gamma in gammas:
+            if not (math.isfinite(gamma) and gamma >= 0):
+                raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
         ec = load_expert_class(args.class_file)
         ctx = ec.contexts[0]
         x = BinaryTree(args.n, values=np.array([ctx] * ((1 << args.n) - 1),
@@ -281,7 +287,7 @@ def _cmd_bounds(args):
         ],
     }
     if args.fit:
-        logn = np.log([r[0] for r in rows])
+        logn = np.log([float(r[0]) for r in rows])
         report["fit"] = {
             "self_concordance_slope": float(
                 np.polyfit(logn, np.log([r[1] for r in rows]), 1)[0]

@@ -17,6 +17,7 @@ STATE_GUARD bounds both; `worst_case_search` states the tie rule.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -46,6 +47,7 @@ __all__ = [
 ]
 
 STATE_GUARD = 5 * 10**6
+PATH_GUARD = 1 << 20  # outcome paths of a dual tree (2^horizon)
 TIE_TOLERANCE = 1e-12
 
 
@@ -109,11 +111,17 @@ class GameInstance:
 
     @functools.cached_property
     def _table(self):
-        """The game's table, built on first use (a subclass of StaticContexts
-        may vary with the history, so the count table needs the exact type)."""
-        if type(self.availability) is StaticContexts:
+        """The game's table, built on first use."""
+        if _static(self):
             return _CountTable(self)
         return _HistoryTable(self)
+
+
+def _static(g: GameInstance) -> bool:
+    """Whether availability is exactly StaticContexts: a subclass may vary
+    with the history, so the count table and the duals' column check need
+    the exact type."""
+    return type(g.availability) is StaticContexts
 
 
 @dataclass
@@ -337,46 +345,94 @@ def _child_histories(histories, xs):
     return [h + ((x, y),) for y in (0, 1) for h, x in zip(histories, xs)]
 
 
+def _check_paths(n: int) -> None:
+    if (1 << n) > PATH_GUARD:
+        raise ValueError("too many paths for exact dual evaluation")
+
+
+def _node_columns(g: GameInstance, context_tree: BinaryTree) -> np.ndarray:
+    """Class column of every node's context, in flat order: -1 where the
+    class lacks the context and, under StaticContexts, -2 where the rule
+    does not offer it."""
+    index, missing = g.expert_class._index, -1
+    if _static(g):
+        index, missing = {x: index.get(x, -1) for x in g.availability.contexts}, -2
+    nodes = context_tree.values.tolist()
+    try:
+        columns = map(index.get, nodes, itertools.repeat(missing))
+        return np.fromiter(columns, dtype=np.intp, count=len(nodes))
+    except TypeError:  # an unhashable node value is no context id
+        return np.array([_get(index, x, missing) for x in nodes], dtype=np.intp)
+
+
+def _get(index, x, missing):
+    try:
+        return index.get(x, missing)
+    except TypeError:
+        return missing
+
+
+def _check_reached(g: GameInstance, context_tree: BinaryTree, columns, open_branch):
+    """Raise for the first node, level by level, that a path with no branch
+    of probability exactly zero reaches and whose context the rule does not
+    offer (ValueError) or the class lacks (KeyError).  Under StaticContexts
+    only nodes with a negative column are looked at; under any other rule
+    every reached node's history is built and passed to `available`."""
+    static = _static(g)
+    if static and columns.min() >= 0:
+        return
+    reached, histories = np.ones(1, dtype=bool), [()]
+    for t in range(1, g.horizon + 1):
+        level = slice((1 << (t - 1)) - 1, (1 << t) - 1)
+        xs, cols = context_tree.level(t), columns[level]
+        for q in np.flatnonzero(reached & (cols < 0) if static else reached):
+            if (cols[q] == -2 if static
+                    else xs[q] not in g.availability.available(histories[q])):
+                raise ValueError("context tree inconsistent with availability rule")
+            if cols[q] < 0:
+                g.expert_class.context_index(xs[q])  # raises KeyError
+        reached = (reached & open_branch[:, level]).ravel()
+        if not static and t < g.horizon:
+            histories = _child_histories(histories, xs)
+
+
 def dual_value(g: GameInstance, s: DualStrategy) -> float:
     """Expected regret when the adversary commits to (x, p) trees and the
     player best-responds with p-hat = p; paths through a branch of
     probability exactly zero are skipped.
 
-    One pass over the tree levels carries, for every prefix, the path
+    The nodes such paths reach are checked first (`_check_reached`).  Then
+    one pass over the tree levels carries, for every prefix, the path
     probability, the player's and each expert's cumulative loss, and
-    whether no branch so far was exactly zero.  Availability is checked
-    only at nodes such a prefix reaches.
+    whether no branch so far was exactly zero.  Row y of a level's
+    (2, nodes) step extends every prefix by outcome y, so the next level
+    holds the outcome-0 children, then the outcome-1 children (see
+    BinaryTree.level).  The branch probabilities, the player's losses and
+    the nodes' class columns are taken once for the whole tree.
     """
     n = g.horizon
     if s.context_tree.depth != n:
         raise ValueError("tree depth must equal the horizon")
-    if (1 << n) > (1 << 20):
-        raise ValueError("too many paths for exact dual evaluation")
+    _check_paths(n)
+    p = s.prob_tree.values.astype(float)
+    branch = np.stack((1.0 - p, p))
+    open_branch = branch != 0.0
+    columns = _node_columns(g, s.context_tree)
+    _check_reached(g, s.context_tree, columns, open_branch)
+    columns = np.maximum(columns, 0)  # an unreached node reads column 0
+    losses = log_loss(p, np.array([[0], [1]]))
     ec = g.expert_class
+    lik = ec.log_lik.transpose(0, 2, 1)  # (outcome, context, expert)
     prob, player = np.ones(1), np.zeros(1)
-    experts = np.zeros((ec.n_experts, 1))
+    experts = np.zeros((1, ec.n_experts))  # (prefix, expert)
     reached = np.ones(1, dtype=bool)
-    histories = [()]
     for t in range(1, n + 1):
-        xs = s.context_tree.level(t)
-        p = s.prob_tree.level(t).astype(float)
-        cols = np.zeros(len(xs), dtype=int)
-        for q in np.flatnonzero(reached):
-            if xs[q] not in g.availability.available(histories[q]):
-                raise ValueError(
-                    "context tree inconsistent with availability rule"
-                )
-            cols[q] = ec.context_index(xs[q])
-        branch = (1.0 - p, p)
-        prob = np.concatenate([prob * b for b in branch])
-        player = np.concatenate([player + log_loss(p, y) for y in (0, 1)])
-        experts = np.concatenate(
-            [experts - lik[:, cols] for lik in ec.log_lik], axis=1
-        )
-        reached = np.concatenate([reached & (b != 0.0) for b in branch])
-        if t < n:
-            histories = _child_histories(histories, xs)
-    best = experts[:, reached].min(axis=0)
+        level = slice((1 << (t - 1)) - 1, (1 << t) - 1)
+        prob = (prob * branch[:, level]).ravel()
+        player = (player + losses[:, level]).ravel()
+        experts = (experts - lik.take(columns[level], axis=1)).reshape(-1, ec.n_experts)
+        reached = (reached & open_branch[:, level]).ravel()
+    best = experts[reached].min(axis=1)
     with np.errstate(invalid="ignore"):
         return float(np.sum(prob[reached] * (player[reached] - best)))
 
@@ -384,12 +440,24 @@ def dual_value(g: GameInstance, s: DualStrategy) -> float:
 def random_dual_strategy(g: GameInstance, rng) -> DualStrategy:
     """Uniformly random prob tree plus a random consistent context tree."""
     n = g.horizon
+    _check_paths(n)
     prob = BinaryTree(n, values=rng.uniform(size=(1 << n) - 1))
     ctx = BinaryTree(n, values=np.empty((1 << n) - 1, dtype=object))
+    # One draw per level, which gives the per-node stream (a node with one
+    # option draws nothing).  Under StaticContexts every node has the same
+    # options, so no history is built.
+    if _static(g):
+        contexts = g.availability.contexts
+        options = np.empty(len(contexts), dtype=object)
+        for i, x in enumerate(contexts):  # a tuple id stays one element
+            options[i] = x
+        for t in range(1, n + 1):
+            picks = rng.integers(len(contexts), size=1 << (t - 1))
+            ctx.level(t)[:] = options[picks]
+        return DualStrategy(context_tree=ctx, prob_tree=prob)
     # Context at (t, prefix) must be valid for every history reaching the
     # node; with the built-in rules availability depends on outcomes only,
     # so picking per-prefix (outcomes determine the prefix) is consistent.
-    # One draw per level: the per-node stream, where 1 option draws nothing.
     histories = [()]
     for t in range(1, n + 1):
         options = [g.availability.available(h) for h in histories]

@@ -142,6 +142,10 @@ def test_fit_single_scale_exponents():
     for p in (1.0, 2.0):
         slope = fit_rate_exponent("self_concordance", 1.0, p, ns)
         assert slope == pytest.approx(p / (p + 1), abs=0.02)
+    # from 2^63 on the grid no longer fits int64
+    slope = fit_rate_exponent("self_concordance", 1.0, 2.0,
+                              [2**k for k in range(60, 71)])
+    assert slope == pytest.approx(2 / 3, abs=1e-9)
 
 
 def test_fit_validation():

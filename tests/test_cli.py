@@ -79,6 +79,17 @@ def test_dual_subcommand(class_file, tmp_path):
     assert report["gap"] >= -1e-9
 
 
+def test_dual_input_errors_exit_2(class_file, capsys):
+    for samples in ("0", "-3"):
+        assert main(["dual", "--class", class_file, "--n", "2",
+                     "--samples", samples]) == 2
+        assert "--samples must be >= 1" in capsys.readouterr().err
+    # the path guard fires before a 2^21-node tree is drawn
+    assert main(["dual", "--class", class_file, "--n", "21",
+                 "--samples", "1"]) == 2
+    assert "too many paths" in capsys.readouterr().err
+
+
 def test_verify_subcommand_exit_codes(tmp_path, capsys):
     code = main(["verify", "--checks", "SC_EDGE,KL_EPS",
                  "--resolution", "1e-3"])
@@ -164,6 +175,25 @@ def test_cover_curve_reports_counts(tmp_path):
     assert [c["upper"] for c in report["curve"]] == pytest.approx(
         np.log([75, 9]), rel=1e-11
     )
+
+
+def test_bounds_fit_past_int64(tmp_path):
+    out = tmp_path / "fit.json"
+    code = main(["bounds", "--entropy", "pow:p=2,C=1",
+                 "--n-grid", "2^60..2^70", "--fit", "--out", str(out)])
+    assert code == 0
+    fit = json.loads(out.read_text())["fit"]
+    assert fit["self_concordance_slope"] == pytest.approx(2 / 3, abs=1e-9)
+    assert 0.75 < fit["truncation_slope"] < 0.77
+
+
+def test_cover_class_gamma_errors_exit_2(class_file, capsys):
+    for gamma in ("-1", "nan", "inf"):
+        assert main(["cover", "--class", class_file, "--n", "2",
+                     "--gammas", f"0.5,{gamma}"]) == 2
+        assert "gamma must be finite and >= 0" in capsys.readouterr().err
+    assert main(["cover", "--class", class_file, "--n", "2",
+                 "--gammas", "0"]) == 0
 
 
 def test_cover_input_errors_exit_2(capsys):

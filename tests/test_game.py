@@ -696,7 +696,10 @@ def test_bayes_mixture_once_every_expert_is_ruled_out():
 
 
 def _random_dual_instance(rng, kind):
-    n = int(rng.integers(1, 7))
+    """kind: k contexts under StaticContexts; "previous"; "subset", a rule
+    offering 2 of 3 contexts, with one node set to the third; "missing", a
+    rule offering a context the class lacks."""
+    n = int(rng.integers(1, 10))
     if kind == "previous":
         contexts = [
             c for m in range(n) for c in itertools.product((0, 1), repeat=m)
@@ -709,29 +712,67 @@ def _random_dual_instance(rng, kind):
             horizon=n, expert_class=ec, availability=PreviousOutcomes()
         )
     else:
+        k = {"subset": 3, "missing": 2}.get(kind, kind)
+        rule = {
+            "subset": StaticContexts((2, 0)),
+            "missing": StaticContexts((0, 1, "absent")),
+        }.get(kind)
         n_experts = int(rng.integers(1, 5))
         ec = ExpertClass(
-            contexts=list(range(kind)),
-            experts=_with_exact_zeros_and_ones(rng, (n_experts, kind)),
+            contexts=list(range(k)),
+            experts=_with_exact_zeros_and_ones(rng, (n_experts, k)),
         )
-        g = GameInstance(horizon=n, expert_class=ec)
+        g = GameInstance(horizon=n, expert_class=ec, availability=rule)
     s = random_dual_strategy(g, rng)
     s.prob_tree.values[:] = _with_exact_zeros_and_ones(
         rng, s.prob_tree.values.size
     )
+    if kind == "subset":
+        s.context_tree.values[rng.integers(s.context_tree.values.size)] = 1
     return g, s
 
 
-@pytest.mark.parametrize("kind", [1, 2, "previous"])
+def _value_or_error(dual, g, s):
+    """dual(g, s), or the class of the ValueError or KeyError it raises."""
+    try:
+        return dual(g, s)
+    except (ValueError, KeyError) as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("kind", [1, 2, "previous", "subset", "missing"])
 def test_dual_value_matches_per_path_loop(kind):
     rng = np.random.default_rng(31)
+    seen = set()
     for _ in range(60):
         g, s = _random_dual_instance(rng, kind)
-        got, ref = dual_value(g, s), reference_dual_value(g, s)
-        if math.isfinite(ref):
+        got = _value_or_error(dual_value, g, s)
+        ref = _value_or_error(reference_dual_value, g, s)
+        seen.add(ref if isinstance(ref, type) else float)
+        if isinstance(ref, type):
+            assert got is ref
+        elif math.isfinite(ref):
             assert got == pytest.approx(ref, rel=1e-12, abs=1e-300)
         else:
             assert (math.isnan(got) and math.isnan(ref)) or got == ref
+    # "subset": the unoffered node is reached, or only through a zero branch
+    errors = {"subset": {ValueError}, "missing": {KeyError}}.get(kind, set())
+    assert seen == {float} | errors
+
+
+def test_dual_path_guard_before_drawing():
+    g = GameInstance(horizon=21, expert_class=ExpertClass.constants([0.3, 0.7]))
+    rng = np.random.default_rng(8)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="too many paths"):
+        random_dual_strategy(g, rng)
+    assert rng.bit_generator.state == state
+    s = DualStrategy(
+        context_tree=BinaryTree(21, values=np.zeros((1 << 21) - 1, dtype=object)),
+        prob_tree=BinaryTree(21, fill=0.5),
+    )
+    with pytest.raises(ValueError, match="too many paths"):
+        dual_value(g, s)
 
 
 def test_dual_unavailable_context():
@@ -750,6 +791,12 @@ def test_dual_unavailable_context():
     )
     got = dual_value(g, DualStrategy(context_tree=ctx, prob_tree=prob))
     assert got == pytest.approx(expected, abs=1e-15)
+    # an unhashable value is no context id either, and it too is only
+    # checked where it is reached
+    ctx.values[2] = ["z"]
+    with pytest.raises(ValueError):
+        dual_value(g, DualStrategy(context_tree=ctx, prob_tree=half))
+    assert dual_value(g, DualStrategy(context_tree=ctx, prob_tree=prob)) == got
     # path 1, 1 has probability 1e-400, which underflows to 0, yet it is
     # reached: its round-3 node must still be checked
     ctx3 = BinaryTree(3, values=np.array(["a"] * 6 + ["z"], dtype=object))
@@ -783,6 +830,7 @@ def test_random_dual_strategy_matches_per_node_draws():
         ec = ExpertClass(contexts=list(range(k)), experts=np.full((2, k), 0.5))
         games += [GameInstance(n, ec) for n in (1, 4, 6)]
         games.append(GameInstance(5, ec, _Ragged(k)))
+    games.append(GameInstance(9, ec))  # k = 3
     prev_ec = ExpertClass(
         contexts=[c for m in range(4) for c in itertools.product((0, 1), repeat=m)],
         experts=np.full((1, 15), 0.5),
