@@ -246,6 +246,7 @@ def _cmd_cover(args):
         report = {
             "subcommand": "cover",
             "n": args.n,
+            "demands": rc.n_demands,
             "results": [
                 {"gamma": g, "size": s, "exact": e} for g, s, e in rows
             ],

@@ -1,12 +1,12 @@
 """Sequential covering numbers and entropy curves.
 
-A sequential cover demand is a (path, expert) pair; a covering tree
-serves the pair when its node values along that path stay within gamma of
-the expert's.  Because an expert's value at a node depends only on the
-node's prefix, per-node feasibility of a group of demands reduces to an
-interval-stabbing condition: the spread of the grouped expert values at
-every touched node must not exceed 2*gamma.  Minimizing the number of
-groups is therefore an exact search for the minimal cover.
+A sequential cover demand is a (path, expert) pair, served when a cover
+element's node values along the path stay within gamma of the expert's.
+A group of demands fits one element exactly when its demands are pairwise
+within 2*gamma at every node they share, so a minimal cover is a minimal
+colouring of the demands' conflict graph: one Python-int bitmask per
+demand over the 2^(depth-1) distinct node paths, coloured first fit
+(greedy) or by branch and bound (exact, and per path for the lower bound).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _TOL = 1e-12
+_CHUNK = 1 << 20  # elements per block of the demand conflict build
 
 
 @dataclass
@@ -53,9 +54,14 @@ class RestrictedClass:
     def n_experts(self) -> int:
         return len(self.value_trees)
 
+    @property
+    def n_demands(self) -> int:
+        """Distinct (path, expert) demands: 2^(depth-1) paths per expert."""
+        return (1 << (self.depth - 1)) * self.n_experts
+
     def value_matrix(self) -> np.ndarray:
         """(n_experts, n_nodes) node values."""
-        return np.stack([t.values.astype(float) for t in self.value_trees])
+        return np.array([t.values for t in self.value_trees], dtype=float)
 
 
 @dataclass
@@ -65,13 +71,24 @@ class SequentialCover:
 
 
 def restrict(expert_class: ExpertClass, x: BinaryTree) -> RestrictedClass:
-    trees = []
-    for i in range(expert_class.n_experts):
-        vals = np.array(
-            [expert_class.value(i, c) for c in x.values], dtype=float
-        )
-        trees.append(BinaryTree(x.depth, values=vals))
+    cols = [expert_class.context_index(c) for c in x.values]
+    vals = expert_class.experts[:, cols]  # one class column per node
+    trees = [BinaryTree(x.depth, values=row) for row in vals]
     return RestrictedClass(context_tree=x, value_trees=trees)
+
+
+@functools.lru_cache(maxsize=32)
+def _distinct_paths(depth: int) -> np.ndarray:
+    """(2^(depth-1), depth) read-only node indices of the distinct paths:
+    rows y and y + 2^(depth-1) of path_node_indices reach the same nodes."""
+    idx = path_node_indices(depth)[: 1 << (depth - 1)]
+    idx.flags.writeable = False
+    return idx
+
+
+def _check_gamma(gamma) -> None:
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
 
 
 def cover_verify(rc: RestrictedClass, V: SequentialCover) -> bool:
@@ -80,154 +97,132 @@ def cover_verify(rc: RestrictedClass, V: SequentialCover) -> bool:
         raise ValueError("cover elements must match the class depth")
     if not V.elements:
         return False
+    idx = _distinct_paths(rc.depth)
+    g = rc.value_matrix()[:, idx]  # (experts, paths, depth)
+    v = np.stack([e.values.astype(float) for e in V.elements])[:, idx]
+    dist = np.abs(g[:, None] - v[None, :]).max(axis=3)  # (experts, elements, paths)
+    return not np.any(dist.min(axis=1) > V.scale + _TOL)
+
+
+def _path_conflicts(gvals: np.ndarray, depth: int, gamma: float) -> np.ndarray:
+    """(paths, depth, experts, experts) bool over the distinct paths: entry
+    [y, t, g, h] is true when experts g and h differ by more than 2 gamma
+    at some node of path y in rounds 1..t+1."""
+    vals = gvals[:, _distinct_paths(depth)].transpose(1, 2, 0)
+    apart = np.abs(vals[..., :, None] - vals[..., None, :]) > 2 * gamma + _TOL
+    return np.logical_or.accumulate(apart, axis=1)
+
+
+def _bitmasks(rows: np.ndarray) -> list:
+    """One Python int per row of a 2-D bool array; bit j is column j."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(r.tobytes(), "little") for r in packed]
+
+
+def _demand_conflicts(gvals: np.ndarray, depth: int, gamma: float) -> list:
+    """Conflict bitmask of demand y * n_experts + g: demands conflict when
+    they differ by more than 2 gamma at a node both paths reach.  Paths
+    y1 != y2 share the rounds up to their lowest differing bit b, so they
+    read y1's prefix conflicts at index b; a path with itself reads -1."""
+    prefix = _path_conflicts(gvals, depth, gamma)
+    paths, _, n_experts, _ = prefix.shape
+    y = np.arange(paths)
+    step = max(1, _CHUNK // (paths * n_experts**2))
+    masks = []
+    for start in range(0, paths, step):
+        ys = y[start:start + step]
+        parted = ys[:, None] ^ y[None, :]
+        last = np.frexp(parted & -parted)[1] - 1  # log2 of the lowest bit
+        conf = prefix[ys[:, None], last]  # [y1, y2, g1, g2]
+        masks += _bitmasks(conf.transpose(0, 2, 1, 3).reshape(-1, paths * n_experts))
+    return masks
+
+
+def _first_fit(masks: list):
+    """(labels, size): each vertex, in order, joins the first group that
+    holds none of its conflicts, else opens one."""
+    unions, labels = [], []
+    for i, conflicts in enumerate(masks):
+        j = next((j for j, u in enumerate(unions) if not u >> i & 1), len(unions))
+        if j == len(unions):
+            unions.append(0)
+        unions[j] |= conflicts
+        labels.append(j)
+    return labels, len(unions)
+
+
+def _clique_size(masks: list, candidates: int, cap: int, size=0, best=0) -> int:
+    """Size of a largest clique among the candidate vertices, by branch and
+    bound, or cap once a clique that large is found: no colouring has
+    fewer groups."""
+    best = max(best, size)
+    while best < cap and size + candidates.bit_count() > best:
+        v = candidates.bit_length() - 1
+        candidates ^= 1 << v
+        best = _clique_size(masks, candidates & masks[v], cap, size + 1, best)
+    return best
+
+
+def _fewest_groups(masks: list):
+    """(labels, size) of a minimal colouring of the conflict graph: branch
+    and bound over group bitmasks, seeded by the first-fit size and
+    stopped once it meets the largest clique."""
+    best = _first_fit(masks)
+    floor = _clique_size(masks, (1 << len(masks)) - 1, best[1])
+
+    def place(i, unions, labels):
+        nonlocal best
+        if len(unions) >= best[1] or best[1] == floor:
+            return
+        if i == len(masks):
+            best = labels, len(unions)
+            return
+        for j, union in enumerate(unions):
+            if not union >> i & 1:
+                joined = unions[:j] + (union | masks[i],) + unions[j + 1:]
+                place(i + 1, joined, labels + [j])
+        if len(unions) + 1 < best[1]:
+            place(i + 1, unions + (masks[i],), labels + [len(unions)])
+
+    place(0, (), [])
+    return best
+
+
+def _colour_cover(rc: RestrictedClass, gamma: float, colour) -> SequentialCover:
+    """Colour the demand conflict graph with colour(masks) -> (labels,
+    size); each group's element is the midpoint of its demands' values at
+    every node they touch, 0.5 elsewhere."""
     gvals = rc.value_matrix()
-    vvals = np.stack([v.values.astype(float) for v in V.elements])
-    gamma = V.scale + _TOL
-    for idx in path_node_indices(rc.depth):
-        g_on_path = gvals[:, idx]  # (experts, depth)
-        v_on_path = vvals[:, idx]  # (elements, depth)
-        dist = np.abs(g_on_path[:, None, :] - v_on_path[None, :, :]).max(axis=2)
-        if np.any(dist.min(axis=1) > gamma):
-            return False
-    return True
-
-
-class _GroupState:
-    """Per-node value ranges of the demands assigned to one cover element."""
-
-    def __init__(self, n_nodes):
-        self.lo = np.full(n_nodes, np.inf)
-        self.hi = np.full(n_nodes, -np.inf)
-
-    def can_add(self, idx, vals, two_gamma):
-        lo = np.minimum(self.lo[idx], vals)
-        hi = np.maximum(self.hi[idx], vals)
-        return bool(np.all(hi - lo <= two_gamma + _TOL))
-
-    def add(self, idx, vals):
-        old = (self.lo[idx].copy(), self.hi[idx].copy())
-        self.lo[idx] = np.minimum(self.lo[idx], vals)
-        self.hi[idx] = np.maximum(self.hi[idx], vals)
-        return old
-
-    def undo(self, idx, old):
-        self.lo[idx], self.hi[idx] = old
-
-
-def _demands(rc: RestrictedClass):
-    gvals = rc.value_matrix()
-    out = []
-    for idx in path_node_indices(rc.depth):
-        for g in range(rc.n_experts):
-            out.append((idx, gvals[g, idx]))
-    return out
-
-
-def _groups_to_cover(rc: RestrictedClass, groups, gamma) -> SequentialCover:
-    elements = []
-    for grp in groups:
-        touched = np.isfinite(grp.lo)
-        mid = np.full(grp.lo.shape, 0.5)
-        mid[touched] = (grp.lo[touched] + grp.hi[touched]) / 2.0
-        elements.append(BinaryTree(rc.depth, values=mid))
-    return SequentialCover(elements=elements, scale=gamma)
+    labels, size = colour(_demand_conflicts(gvals, rc.depth, gamma))
+    idx = _distinct_paths(rc.depth)
+    n_nodes = gvals.shape[1]
+    vals = gvals[:, idx].transpose(1, 0, 2).ravel()  # [y, g, t], as the demands
+    cell = (np.reshape(labels, (len(idx), -1, 1)) * n_nodes + idx[:, None]).ravel()
+    lo, hi = np.full(size * n_nodes, np.inf), np.full(size * n_nodes, -np.inf)
+    np.minimum.at(lo, cell, vals)
+    np.maximum.at(hi, cell, vals)
+    touched = np.isfinite(lo)
+    mid = np.full(lo.shape, 0.5)
+    mid[touched] = (lo[touched] + hi[touched]) / 2.0
+    elements = [BinaryTree(rc.depth, values=m) for m in mid.reshape(size, n_nodes)]
+    return SequentialCover(elements, gamma)
 
 
 def sequential_cover_greedy(rc: RestrictedClass, gamma: float) -> SequentialCover:
     """First-fit grouping of (path, expert) demands; always a valid cover."""
-    n_nodes = (1 << rc.depth) - 1
-    groups = []
-    for idx, vals in _demands(rc):
-        for grp in groups:
-            if grp.can_add(idx, vals, 2 * gamma):
-                grp.add(idx, vals)
-                break
-        else:
-            grp = _GroupState(n_nodes)
-            grp.add(idx, vals)
-            groups.append(grp)
-    return _groups_to_cover(rc, groups, gamma)
+    _check_gamma(gamma)
+    return _colour_cover(rc, gamma, _first_fit)
 
 
 def sequential_cover_exact(rc: RestrictedClass, gamma: float):
-    """Minimal cover size by branch-and-bound over demand groupings.
-
-    Returns (size, SequentialCover).  Feasible only at small depth and
-    class size; the greedy size seeds the upper bound.
-    """
+    """(size, SequentialCover) of a minimal cover: the chromatic number of
+    the demand conflict graph, by branch and bound.  Feasible only at small
+    depth and class size."""
+    _check_gamma(gamma)
     if rc.depth > 3 or rc.n_experts > 8:
         raise ValueError("exact cover search limited to depth <= 3, |F| <= 8")
-    demands = _demands(rc)
-    n_nodes = (1 << rc.depth) - 1
-    greedy = sequential_cover_greedy(rc, gamma)
-    best = {"size": len(greedy.elements), "groups": None}
-
-    def recurse(i, groups):
-        if len(groups) >= best["size"]:
-            return
-        if i == len(demands):
-            best["size"] = len(groups)
-            best["groups"] = [(g.lo.copy(), g.hi.copy()) for g in groups]
-            return
-        idx, vals = demands[i]
-        for grp in groups:
-            if grp.can_add(idx, vals, 2 * gamma):
-                old = grp.add(idx, vals)
-                recurse(i + 1, groups)
-                grp.undo(idx, old)
-        if len(groups) + 1 < best["size"]:
-            grp = _GroupState(n_nodes)
-            grp.add(idx, vals)
-            groups.append(grp)
-            recurse(i + 1, groups)
-            groups.pop()
-
-    recurse(0, [])
-    if best["groups"] is None:
-        return len(greedy.elements), greedy
-    groups = []
-    for lo, hi in best["groups"]:
-        g = _GroupState(n_nodes)
-        g.lo, g.hi = lo, hi
-        groups.append(g)
-    return best["size"], _groups_to_cover(rc, groups, gamma)
-
-
-def _linf_cover_size_lower(points: np.ndarray, gamma: float) -> int:
-    """Lower bound on the number of L-inf balls of radius gamma covering a
-    finite point set: the exact minimum by subset DP for <= 12 points, a
-    greedy packing at separation > 2 gamma beyond."""
-    m = points.shape[0]
-    if m == 0:
-        return 0
-    two_gamma = 2 * gamma + _TOL
-    if m <= 12:
-        full = 1 << m
-        lo = np.full((full, points.shape[1]), np.inf)
-        hi = np.full((full, points.shape[1]), -np.inf)
-        feasible = np.zeros(full, dtype=bool)
-        feasible[0] = True
-        for mask in range(1, full):
-            low = mask & -mask
-            rest = mask ^ low
-            j = low.bit_length() - 1
-            lo[mask] = np.minimum(lo[rest], points[j])
-            hi[mask] = np.maximum(hi[rest], points[j])
-            feasible[mask] = bool(np.all(hi[mask] - lo[mask] <= two_gamma))
-        INF = m + 1
-        dp = np.full(full, INF, dtype=int)
-        dp[0] = 0
-        for mask in range(1, full):
-            low = mask & -mask
-            sub = mask
-            while sub:
-                if (sub & low) and feasible[sub]:
-                    cand = dp[mask ^ sub] + 1
-                    if cand < dp[mask]:
-                        dp[mask] = cand
-                sub = (sub - 1) & mask
-        return int(dp[full - 1])
-    return _greedy_packing_size(points, gamma)
+    cover = _colour_cover(rc, gamma, _fewest_groups)
+    return len(cover.elements), cover
 
 
 def _greedy_packing_size(points: np.ndarray, gamma: float) -> int:
@@ -246,14 +241,17 @@ def _greedy_packing_size(points: np.ndarray, gamma: float) -> int:
 
 def empirical_entropy_lower(rc: RestrictedClass, gamma: float) -> float:
     """Max over paths of the log minimal L-inf cover of the expert value
-    vectors on that path (a packing lower bound past 12 experts);
-    lower-bounds the sequential entropy."""
+    vectors on that path, the chromatic number of its expert conflict graph
+    (a packing lower bound past 12 experts); lower-bounds the entropy."""
+    _check_gamma(gamma)
     gvals = rc.value_matrix()
-    best = 0
-    for idx in path_node_indices(rc.depth):
-        size = _linf_cover_size_lower(gvals[:, idx], gamma)
-        best = max(best, size)
-    return math.log(best) if best > 0 else 0.0
+    if rc.n_experts <= 12:
+        apart = _path_conflicts(gvals, rc.depth, gamma)[:, -1]
+        best = max(_fewest_groups(_bitmasks(a))[1] for a in apart)
+    else:
+        paths = _distinct_paths(rc.depth)
+        best = max(_greedy_packing_size(gvals[:, idx], gamma) for idx in paths)
+    return math.log(best)
 
 
 # ---------------------------------------------------------------------------

@@ -385,28 +385,16 @@ def sup_psi(lam: float, resolution: float = 1e-3):
 
 def _case1_ratio(p, v):
     """Threshold ratio for v in [p-1, 0)."""
-    num = np.log(p) + np.log(1 - p - v) - np.log(p - v) - np.log(1 - p - 2 * v)
-    den = (
-        np.log(p)
-        + np.log(1 - p - v)
-        - np.log(p - v)
-        - np.log(1 - p)
-        + 2 * v / (1 - p)
+    shared = np.log(p) + np.log(1 - p - v) - np.log(p - v)
+    return (shared - np.log(1 - p - 2 * v)) / (
+        shared - np.log(1 - p) + 2 * v / (1 - p)
     )
-    return num / den
 
 
 def _case2_ratio(p, v):
     """Threshold ratio for v in (0, p]."""
-    num = np.log(1 - p) + np.log(p + v) - np.log(1 - p + v) - np.log(p + 2 * v)
-    den = (
-        np.log(1 - p)
-        + np.log(p + v)
-        - np.log(1 - p + v)
-        - np.log(p)
-        - 2 * v / p
-    )
-    return num / den
+    shared = np.log(1 - p) + np.log(p + v) - np.log(1 - p + v)
+    return (shared - np.log(p + 2 * v)) / (shared - np.log(p) - 2 * v / p)
 
 
 def lambda_threshold_scan(resolution: float = 1e-3) -> float:

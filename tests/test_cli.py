@@ -160,6 +160,9 @@ def test_cover_subcommand(class_file, tmp_path):
     sizes = {r["gamma"]: r["size"] for r in report["results"]}
     assert sizes[0.5] == 1
     assert sizes[0.1] >= 2
+    # two experts on the 2 distinct node paths of depth 2
+    assert report["demands"] == 4
+    assert set(report) == {"subcommand", "n", "demands", "results"}
 
 
 def test_cover_curve_reports_counts(tmp_path):
@@ -194,6 +197,20 @@ def test_cover_class_gamma_errors_exit_2(class_file, capsys):
         assert "gamma must be finite and >= 0" in capsys.readouterr().err
     assert main(["cover", "--class", class_file, "--n", "2",
                  "--gammas", "0"]) == 0
+
+
+def test_cover_gamma_error_not_hidden_by_greedy_fallback(tmp_path, capsys):
+    # nine experts trip the exact guard, whose ValueError falls back to greedy
+    path = tmp_path / "nine.json"
+    path.write_text(json.dumps({"contexts": [0],
+                                "experts": [[i / 8] for i in range(9)]}))
+    assert main(["cover", "--class", str(path), "--n", "2",
+                 "--gammas", "0.1", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"][0]["exact"] is False
+    for gamma in ("-1", "nan"):
+        assert main(["cover", "--class", str(path), "--n", "2",
+                     "--gammas", gamma]) == 2
+        assert "gamma must be finite and >= 0" in capsys.readouterr().err
 
 
 def test_cover_input_errors_exit_2(capsys):

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from logloss_lab.core import BinaryTree, ExpertClass
+from logloss_lab import cover as cover_mod
+from logloss_lab.core import BinaryTree, ExpertClass, path_node_indices
 from logloss_lab.cover import (
     CELL_GUARD,
     EntropyCurve,
@@ -17,6 +18,7 @@ from logloss_lab.cover import (
     restrict,
     sequential_cover_exact,
     sequential_cover_greedy,
+    _demand_conflicts,
     _greedy_packing_size,
     _walks,
 )
@@ -104,6 +106,220 @@ def test_empirical_lower_past_twelve_experts():
     for probs in (few, few + [0.1] * 9):
         rc = constant_context_class(probs, 1)
         assert empirical_entropy_lower(rc, 0.1) == pytest.approx(math.log(2))
+
+
+# ---------------------------------------------------------------------------
+# Reference searches: per-node lo/hi ranges over every row of
+# path_node_indices, as the covers were computed before the conflict
+# bitmasks.
+# ---------------------------------------------------------------------------
+
+
+class _RefGroupState:
+    """Per-node value ranges of the demands assigned to one cover element."""
+
+    def __init__(self, n_nodes):
+        self.lo = np.full(n_nodes, np.inf)
+        self.hi = np.full(n_nodes, -np.inf)
+
+    def can_add(self, idx, vals, two_gamma):
+        lo = np.minimum(self.lo[idx], vals)
+        hi = np.maximum(self.hi[idx], vals)
+        return bool(np.all(hi - lo <= two_gamma + 1e-12))
+
+    def add(self, idx, vals):
+        old = (self.lo[idx].copy(), self.hi[idx].copy())
+        self.lo[idx] = np.minimum(self.lo[idx], vals)
+        self.hi[idx] = np.maximum(self.hi[idx], vals)
+        return old
+
+    def undo(self, idx, old):
+        self.lo[idx], self.hi[idx] = old
+
+
+def _ref_demands(rc):
+    gvals = rc.value_matrix()
+    return [(idx, gvals[g, idx]) for idx in path_node_indices(rc.depth)
+            for g in range(rc.n_experts)]
+
+
+def _ref_greedy(rc, gamma):
+    """First-fit cover elements, one row of node values each."""
+    groups = []
+    for idx, vals in _ref_demands(rc):
+        for grp in groups:
+            if grp.can_add(idx, vals, 2 * gamma):
+                grp.add(idx, vals)
+                break
+        else:
+            grp = _RefGroupState((1 << rc.depth) - 1)
+            grp.add(idx, vals)
+            groups.append(grp)
+    rows = []
+    for grp in groups:
+        touched = np.isfinite(grp.lo)
+        mid = np.full(grp.lo.shape, 0.5)
+        mid[touched] = (grp.lo[touched] + grp.hi[touched]) / 2.0
+        rows.append(mid)
+    return rows
+
+
+def _ref_exact_size(rc, gamma):
+    """Branch and bound over demand groupings, seeded by the greedy size."""
+    demands = _ref_demands(rc)
+    best = [len(_ref_greedy(rc, gamma))]
+
+    def recurse(i, groups):
+        if len(groups) >= best[0]:
+            return
+        if i == len(demands):
+            best[0] = len(groups)
+            return
+        idx, vals = demands[i]
+        for grp in groups:
+            if grp.can_add(idx, vals, 2 * gamma):
+                old = grp.add(idx, vals)
+                recurse(i + 1, groups)
+                grp.undo(idx, old)
+        if len(groups) + 1 < best[0]:
+            grp = _RefGroupState((1 << rc.depth) - 1)
+            grp.add(idx, vals)
+            groups.append(grp)
+            recurse(i + 1, groups)
+            groups.pop()
+
+    recurse(0, [])
+    return best[0]
+
+
+def _ref_cover_verify(rc, V):
+    if not V.elements:
+        return False
+    gvals = rc.value_matrix()
+    vvals = np.stack([v.values.astype(float) for v in V.elements])
+    for idx in path_node_indices(rc.depth):
+        g_on_path, v_on_path = gvals[:, idx], vvals[:, idx]
+        dist = np.abs(g_on_path[:, None, :] - v_on_path[None, :, :]).max(axis=2)
+        if np.any(dist.min(axis=1) > V.scale + 1e-12):
+            return False
+    return True
+
+
+def _ref_linf_cover_size(points, gamma):
+    """Minimal number of radius-gamma L-inf balls by the subset DP."""
+    m = points.shape[0]
+    two_gamma = 2 * gamma + 1e-12
+    full = 1 << m
+    lo = np.full((full, points.shape[1]), np.inf)
+    hi = np.full((full, points.shape[1]), -np.inf)
+    feasible = np.zeros(full, dtype=bool)
+    feasible[0] = True
+    for mask in range(1, full):
+        low = mask & -mask
+        rest = mask ^ low
+        j = low.bit_length() - 1
+        lo[mask] = np.minimum(lo[rest], points[j])
+        hi[mask] = np.maximum(hi[rest], points[j])
+        feasible[mask] = bool(np.all(hi[mask] - lo[mask] <= two_gamma))
+    dp = np.full(full, m + 1, dtype=int)
+    dp[0] = 0
+    for mask in range(1, full):
+        low = mask & -mask
+        sub = mask
+        while sub:
+            if (sub & low) and feasible[sub]:
+                dp[mask] = min(dp[mask], dp[mask ^ sub] + 1)
+            sub = (sub - 1) & mask
+    return int(dp[full - 1])
+
+
+def _ref_empirical_lower(rc, gamma):
+    gvals = rc.value_matrix()
+    best = max(_ref_linf_cover_size(gvals[:, idx], gamma)
+               for idx in path_node_indices(rc.depth))
+    return math.log(best)
+
+
+def _random_class(rng, depth, n_contexts, n_experts):
+    """Uniform values, lattice values of step 0.05 (ties exactly at 2 gamma
+    for gamma in {0.05, 0.1, 0.25, 0.5}) or 0/1 entries."""
+    kind = rng.integers(3)
+    shape = (n_experts, n_contexts)
+    if kind == 0:
+        experts = rng.uniform(size=shape)
+    elif kind == 1:
+        experts = rng.integers(0, 21, size=shape) * 0.05
+    else:
+        experts = rng.integers(0, 2, size=shape).astype(float)
+    ec = ExpertClass(contexts=list(range(n_contexts)), experts=experts)
+    nodes = rng.integers(0, n_contexts, size=(1 << depth) - 1)
+    return restrict(ec, BinaryTree(depth, values=nodes.astype(object)))
+
+
+def _assert_matches_reference(rc, gamma):
+    greedy = sequential_cover_greedy(rc, gamma)
+    want = _ref_greedy(rc, gamma)
+    assert len(greedy.elements) == len(want)
+    assert all(np.array_equal(e.values, w) for e, w in zip(greedy.elements, want))
+    size, exact = sequential_cover_exact(rc, gamma)
+    assert size == len(exact.elements) == _ref_exact_size(rc, gamma)
+    assert empirical_entropy_lower(rc, gamma) == _ref_empirical_lower(rc, gamma)
+    for cov in (greedy, exact):
+        for shift in (0.0, 1e-3, -1e-3):
+            moved = SequentialCover(
+                elements=[BinaryTree(rc.depth, values=e.values + shift)
+                          for e in cov.elements],
+                scale=cov.scale,
+            )
+            assert cover_verify(rc, moved) == _ref_cover_verify(rc, moved)
+        assert cover_verify(rc, cov)
+
+
+def test_covers_match_reference_search():
+    rng = np.random.default_rng(12)
+    for _ in range(320):
+        depth, k = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        n_experts = int(rng.integers(1, 9))
+        rc = _random_class(rng, depth, k, n_experts)
+        _assert_matches_reference(rc, float(rng.choice([0, 0.05, 0.1, 0.25, 0.5])))
+
+
+def test_covers_match_reference_in_blocks(monkeypatch):
+    # one path per block of the conflict build
+    monkeypatch.setattr(cover_mod, "_CHUNK", 1)
+    rng = np.random.default_rng(13)
+    for gamma in (0.0, 0.1, 0.25):
+        rc = _random_class(rng, 3, 2, 6)
+        _assert_matches_reference(rc, gamma)
+        rc = _random_class(rng, 5, 2, 4)
+        greedy = sequential_cover_greedy(rc, gamma)
+        want = _ref_greedy(rc, gamma)
+        assert all(np.array_equal(e.values, w) for e, w in zip(greedy.elements, want))
+        assert len(greedy.elements) == len(want)
+
+
+def test_depth_three_demands_are_distinct_paths():
+    rc = _random_class(np.random.default_rng(1), 3, 2, 5)
+    masks = _demand_conflicts(rc.value_matrix(), rc.depth, 0.1)
+    # 2^(3-1) distinct node paths, not the 2^3 rows of path_node_indices
+    assert len(masks) == rc.n_demands == 4 * 5
+    assert len(np.unique(path_node_indices(3), axis=0)) == 4
+
+
+@pytest.mark.parametrize("gamma", [-1.0, math.nan, math.inf, -math.inf])
+def test_covers_reject_bad_scale(gamma):
+    rc = constant_context_class([0.3, 0.7], 2)
+    for fn in (sequential_cover_greedy, sequential_cover_exact,
+               empirical_entropy_lower):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            fn(rc, gamma)
+
+
+def test_covers_accept_zero_scale():
+    rc = constant_context_class([0.3, 0.7, 0.7], 2)
+    assert len(sequential_cover_greedy(rc, 0.0).elements) == 2
+    assert sequential_cover_exact(rc, 0.0)[0] == 2
+    assert empirical_entropy_lower(rc, 0.0) == pytest.approx(math.log(2))
 
 
 def test_exact_guard():

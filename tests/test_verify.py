@@ -19,6 +19,7 @@ from logloss_lab.verify import (
     run_check,
     sup_psi,
     _case1_ratio,
+    _case2_ratio,
 )
 
 SEEDED = ("ETA_IDENTITY", "ESTIMATION")
@@ -81,6 +82,55 @@ def test_sup_psi_monotone_below_threshold():
 def test_lambda_scan_near_critical():
     got = lambda_threshold_scan(1e-3)
     assert abs(got - LAMBDA_STAR) <= 1e-3
+
+
+def _case1_ratio_reference(p, v):
+    """The case-1 ratio with numerator and denominator written out."""
+    num = np.log(p) + np.log(1 - p - v) - np.log(p - v) - np.log(1 - p - 2 * v)
+    den = (
+        np.log(p)
+        + np.log(1 - p - v)
+        - np.log(p - v)
+        - np.log(1 - p)
+        + 2 * v / (1 - p)
+    )
+    return num / den
+
+
+def _case2_ratio_reference(p, v):
+    """The case-2 ratio with numerator and denominator written out."""
+    num = np.log(1 - p) + np.log(p + v) - np.log(1 - p + v) - np.log(p + 2 * v)
+    den = (
+        np.log(1 - p)
+        + np.log(p + v)
+        - np.log(1 - p + v)
+        - np.log(p)
+        - 2 * v / p
+    )
+    return num / den
+
+
+def test_lambda_scan_ratios_match_written_out_forms():
+    # the scan's own grid at resolution 1e-3; the shared prefix is computed
+    # once, in the same order, so every value (NaNs too) is the same
+    res = 1e-3
+    m = int(math.floor(1.0 / res))
+    p = np.linspace(res, 1.0 - res, m)
+    u = np.linspace(0.0, 1.0, m)[None, :]
+    span1, span2 = -res - (p - 1.0), p - res
+    v1 = (p[:, None] - 1.0) + u * np.where(span1 > 0, span1, 0.0)[:, None]
+    v2 = res + u * np.where(span2 > 0, span2, 0.0)[:, None]
+    cases = [
+        (_case1_ratio, _case1_ratio_reference, v1, span1 > 0),
+        (_case2_ratio, _case2_ratio_reference, v2, span2 > 0),
+    ]
+    best = np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for fast, ref, v, ok in cases:
+            want = ref(p[:, None], v)
+            assert np.array_equal(fast(p[:, None], v), want, equal_nan=True)
+            best = min(best, float(np.nanmin(want[ok, :])))
+    assert lambda_threshold_scan(res) == best
 
 
 def test_lambda_scan_case1_small_p_stays_above():
