@@ -1,12 +1,13 @@
 """Sequential covering numbers and entropy curves.
 
 A sequential cover demand is a (path, expert) pair, served when a cover
-element's node values along the path stay within gamma of the expert's.
-A group of demands fits one element exactly when its demands are pairwise
-within 2*gamma at every node they share, so a minimal cover is a minimal
-colouring of the demands' conflict graph: one Python-int bitmask per
-demand over the 2^(depth-1) distinct node paths, coloured first fit
-(greedy) or by branch and bound (exact, and per path for the lower bound).
+element's node values along the path stay within gamma of the expert's;
+only the 2^(depth-1) distinct node paths carry demands.  A group of
+demands fits one element exactly when it is pairwise within 2*gamma at
+every node its paths share, so a minimal cover is a minimal colouring of
+the demands' conflict graph: by branch and bound over Python-int conflict
+bitmasks (exact, and per path for the lower bound), or first fit against
+each group's node ranges, linear in the demands (greedy).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ __all__ = [
 ]
 
 _TOL = 1e-12
-_CHUNK = 1 << 20  # elements per block of the demand conflict build
+_BLOCK = 1 << 20  # array elements per block of paths in cover_verify
 
 
 @dataclass
@@ -92,16 +93,21 @@ def _check_gamma(gamma) -> None:
 
 
 def cover_verify(rc: RestrictedClass, V: SequentialCover) -> bool:
-    """Exhaustive check of the cover condition over all paths and experts."""
+    """Exhaustive check of the cover condition, a block of paths at a time."""
     if any(v.depth != rc.depth for v in V.elements):
         raise ValueError("cover elements must match the class depth")
     if not V.elements:
         return False
     idx = _distinct_paths(rc.depth)
-    g = rc.value_matrix()[:, idx]  # (experts, paths, depth)
-    v = np.stack([e.values.astype(float) for e in V.elements])[:, idx]
-    dist = np.abs(g[:, None] - v[None, :]).max(axis=3)  # (experts, elements, paths)
-    return not np.any(dist.min(axis=1) > V.scale + _TOL)
+    g = rc.value_matrix()
+    v = np.stack([e.values.astype(float) for e in V.elements])
+    step = max(1, _BLOCK // (len(g) * len(v) * rc.depth))
+    for start in range(0, len(idx), step):
+        rows = idx[start:start + step]
+        dist = np.abs(g[:, None, rows] - v[None, :, rows]).max(axis=3)
+        if np.any(dist.min(axis=1) > V.scale + _TOL):  # (experts, paths)
+            return False
+    return True
 
 
 def _path_conflicts(gvals: np.ndarray, depth: int, gamma: float) -> np.ndarray:
@@ -120,59 +126,28 @@ def _bitmasks(rows: np.ndarray) -> list:
 
 
 def _demand_conflicts(gvals: np.ndarray, depth: int, gamma: float) -> list:
-    """Conflict bitmask of demand y * n_experts + g: demands conflict when
-    they differ by more than 2 gamma at a node both paths reach.  Paths
-    y1 != y2 share the rounds up to their lowest differing bit b, so they
-    read y1's prefix conflicts at index b; a path with itself reads -1."""
+    """Conflict bitmasks, quadratic in the demands: demand y * n_experts + g
+    conflicts with those it differs from by more than 2 gamma at a node
+    both paths reach.  Paths y1 != y2 share the rounds up to their lowest
+    differing bit b, so read y1's prefix conflicts at b; y1 == y2 reads -1."""
     prefix = _path_conflicts(gvals, depth, gamma)
     paths, _, n_experts, _ = prefix.shape
     y = np.arange(paths)
-    step = max(1, _CHUNK // (paths * n_experts**2))
-    masks = []
-    for start in range(0, paths, step):
-        ys = y[start:start + step]
-        parted = ys[:, None] ^ y[None, :]
-        last = np.frexp(parted & -parted)[1] - 1  # log2 of the lowest bit
-        conf = prefix[ys[:, None], last]  # [y1, y2, g1, g2]
-        masks += _bitmasks(conf.transpose(0, 2, 1, 3).reshape(-1, paths * n_experts))
-    return masks
-
-
-def _first_fit(masks: list):
-    """(labels, size): each vertex, in order, joins the first group that
-    holds none of its conflicts, else opens one."""
-    unions, labels = [], []
-    for i, conflicts in enumerate(masks):
-        j = next((j for j, u in enumerate(unions) if not u >> i & 1), len(unions))
-        if j == len(unions):
-            unions.append(0)
-        unions[j] |= conflicts
-        labels.append(j)
-    return labels, len(unions)
-
-
-def _clique_size(masks: list, candidates: int, cap: int, size=0, best=0) -> int:
-    """Size of a largest clique among the candidate vertices, by branch and
-    bound, or cap once a clique that large is found: no colouring has
-    fewer groups."""
-    best = max(best, size)
-    while best < cap and size + candidates.bit_count() > best:
-        v = candidates.bit_length() - 1
-        candidates ^= 1 << v
-        best = _clique_size(masks, candidates & masks[v], cap, size + 1, best)
-    return best
+    parted = y[:, None] ^ y[None, :]
+    last = np.frexp(parted & -parted)[1] - 1  # log2 of the lowest bit
+    conf = prefix[y[:, None], last]  # [y1, y2, g1, g2]
+    return _bitmasks(conf.transpose(0, 2, 1, 3).reshape(-1, paths * n_experts))
 
 
 def _fewest_groups(masks: list):
-    """(labels, size) of a minimal colouring of the conflict graph: branch
-    and bound over group bitmasks, seeded by the first-fit size and
-    stopped once it meets the largest clique."""
-    best = _first_fit(masks)
-    floor = _clique_size(masks, (1 << len(masks)) - 1, best[1])
+    """(labels, size) of a minimal colouring of the conflict graph, by
+    branch and bound over group bitmasks.  Its first leaf is the first-fit
+    colouring, which seeds the bound."""
+    best = None, len(masks) + 1
 
     def place(i, unions, labels):
         nonlocal best
-        if len(unions) >= best[1] or best[1] == floor:
+        if len(unions) >= best[1]:
             return
         if i == len(masks):
             best = labels, len(unions)
@@ -188,30 +163,48 @@ def _fewest_groups(masks: list):
     return best
 
 
-def _colour_cover(rc: RestrictedClass, gamma: float, colour) -> SequentialCover:
-    """Colour the demand conflict graph with colour(masks) -> (labels,
-    size); each group's element is the midpoint of its demands' values at
-    every node they touch, 0.5 elsewhere."""
-    gvals = rc.value_matrix()
-    labels, size = colour(_demand_conflicts(gvals, rc.depth, gamma))
-    idx = _distinct_paths(rc.depth)
-    n_nodes = gvals.shape[1]
-    vals = gvals[:, idx].transpose(1, 0, 2).ravel()  # [y, g, t], as the demands
-    cell = (np.reshape(labels, (len(idx), -1, 1)) * n_nodes + idx[:, None]).ravel()
-    lo, hi = np.full(size * n_nodes, np.inf), np.full(size * n_nodes, -np.inf)
-    np.minimum.at(lo, cell, vals)
-    np.maximum.at(hi, cell, vals)
+def _first_fit(gvals: np.ndarray, depth: int, gamma: float):
+    """(lo, hi) node ranges, one row per group, of the first fit of the
+    demands in order: each joins the first group whose ranges on its path
+    stay within 2 gamma, else opens one.  Linear in the demands."""
+    limit = 2 * gamma + _TOL
+    cols = gvals.T.tolist()  # node -> expert values
+    los, his = [], []
+    for nodes in map(np.ndarray.tolist, _distinct_paths(depth)):
+        for g in range(len(gvals)):
+            demand = [(t, cols[t][g]) for t in nodes]
+            for lo, hi in zip(los, his):
+                for t, v in demand:
+                    if v - lo[t] > limit or hi[t] - v > limit:
+                        break
+                else:
+                    break  # every node stays within 2 gamma: join this group
+            else:
+                lo, hi = [math.inf] * len(cols), [-math.inf] * len(cols)
+                los.append(lo)
+                his.append(hi)
+            for t, v in demand:
+                if v < lo[t]:
+                    lo[t] = v
+                if v > hi[t]:
+                    hi[t] = v
+    return los, his
+
+
+def _midpoint_cover(depth: int, gamma: float, lo, hi) -> SequentialCover:
+    """One element per group: its node ranges' midpoints, 0.5 if untouched."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     touched = np.isfinite(lo)
     mid = np.full(lo.shape, 0.5)
     mid[touched] = (lo[touched] + hi[touched]) / 2.0
-    elements = [BinaryTree(rc.depth, values=m) for m in mid.reshape(size, n_nodes)]
-    return SequentialCover(elements, gamma)
+    return SequentialCover([BinaryTree(depth, values=m) for m in mid], gamma)
 
 
 def sequential_cover_greedy(rc: RestrictedClass, gamma: float) -> SequentialCover:
     """First-fit grouping of (path, expert) demands; always a valid cover."""
     _check_gamma(gamma)
-    return _colour_cover(rc, gamma, _first_fit)
+    lo, hi = _first_fit(rc.value_matrix(), rc.depth, gamma)
+    return _midpoint_cover(rc.depth, gamma, lo, hi)
 
 
 def sequential_cover_exact(rc: RestrictedClass, gamma: float):
@@ -221,8 +214,16 @@ def sequential_cover_exact(rc: RestrictedClass, gamma: float):
     _check_gamma(gamma)
     if rc.depth > 3 or rc.n_experts > 8:
         raise ValueError("exact cover search limited to depth <= 3, |F| <= 8")
-    cover = _colour_cover(rc, gamma, _fewest_groups)
-    return len(cover.elements), cover
+    gvals = rc.value_matrix()
+    labels, size = _fewest_groups(_demand_conflicts(gvals, rc.depth, gamma))
+    idx = _distinct_paths(rc.depth)
+    at = np.reshape(labels, (len(idx), -1, 1)), idx[:, None]  # [y, g, t]
+    vals = gvals[:, idx].transpose(1, 0, 2)  # as the demands
+    lo = np.full((size, gvals.shape[1]), np.inf)
+    hi = -lo
+    np.minimum.at(lo, at, vals)
+    np.maximum.at(hi, at, vals)
+    return size, _midpoint_cover(rc.depth, gamma, lo, hi)
 
 
 def _greedy_packing_size(points: np.ndarray, gamma: float) -> int:

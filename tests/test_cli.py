@@ -165,6 +165,35 @@ def test_cover_subcommand(class_file, tmp_path):
     assert set(report) == {"subcommand", "n", "demands", "results"}
 
 
+def test_cover_class_greedy_stays_linear_in_demands(class_file):
+    # depth 16 trips the exact guard, so greedy colours 2^15 * 2 demands; a
+    # pairwise conflict bitmask per demand would take 2^32 bits (512 MB)
+    src = os.path.dirname(os.path.dirname(logloss_lab.__file__))
+    argv = ["cover", "--class", class_file, "--n", "16", "--gammas", "0.1,0.5",
+            "--format", "json"]
+    script = (
+        "import resource, sys, time\n"
+        "from logloss_lab.cli import main\n"
+        "start = time.perf_counter()\n"
+        f"code = main({argv!r})\n"
+        "print(time.perf_counter() - start,\n"
+        "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["demands"] == 1 << 16
+    assert [(r["size"], r["exact"]) for r in report["results"]] == [
+        (2, False), (1, False)]
+    seconds, max_rss = map(float, proc.stderr.split())
+    assert seconds < 60
+    assert max_rss < 200 * 1024  # KiB on Linux
+
+
 def test_cover_curve_reports_counts(tmp_path):
     out = tmp_path / "curve.json"
     code = main(["cover", "--dim", "1", "--gammas", "0.25,0.125",

@@ -284,9 +284,9 @@ def test_covers_match_reference_search():
         _assert_matches_reference(rc, float(rng.choice([0, 0.05, 0.1, 0.25, 0.5])))
 
 
-def test_covers_match_reference_in_blocks(monkeypatch):
-    # one path per block of the conflict build
-    monkeypatch.setattr(cover_mod, "_CHUNK", 1)
+def test_verify_in_blocks_and_deep_greedy_match_reference(monkeypatch):
+    # one path per block of cover_verify
+    monkeypatch.setattr(cover_mod, "_BLOCK", 1)
     rng = np.random.default_rng(13)
     for gamma in (0.0, 0.1, 0.25):
         rc = _random_class(rng, 3, 2, 6)
@@ -296,6 +296,7 @@ def test_covers_match_reference_in_blocks(monkeypatch):
         want = _ref_greedy(rc, gamma)
         assert all(np.array_equal(e.values, w) for e, w in zip(greedy.elements, want))
         assert len(greedy.elements) == len(want)
+        assert cover_verify(rc, greedy) and _ref_cover_verify(rc, greedy)
 
 
 def test_depth_three_demands_are_distinct_paths():
