@@ -326,6 +326,7 @@ def _cmd_verify(args):
                 "worst_point": list(r.worst_point),
                 "tolerance": r.tolerance,
                 "pass": r.passed,
+                "points": r.points,
             }
             for r in reports
         ],

@@ -208,6 +208,65 @@ def _maybe_scalar(out, *inputs):
     return out
 
 
+# Most broadcast elements an array kernel evaluates at once.  A larger call
+# runs its expression block by block into one output array, so that its
+# temporaries stay cache-sized and are not as large as the whole grid.
+_BLOCK = 1 << 15
+
+
+def _blocks(shape):
+    """Index tuples that cut `shape` into C-order blocks of at most _BLOCK
+    elements: single indices on the leading axes, a slice of one axis, and
+    every trailing axis whole."""
+    axis, inner = len(shape) - 1, 1
+    while axis > 0 and inner * shape[axis] <= _BLOCK:
+        inner *= shape[axis]
+        axis -= 1
+    step = _BLOCK // inner
+    for lead in np.ndindex(*shape[:axis]):
+        for start in range(0, shape[axis], step):
+            yield lead + (slice(start, start + step),)
+
+
+def _part(x, block):
+    """The part of x, padded to the output's rank, that broadcasts to the
+    output block: a length-1 axis of x is kept whole."""
+    return x[tuple(
+        b if n != 1 else 0 if isinstance(b, int) else slice(None)
+        for b, n in zip(block, x.shape)
+    )]
+
+
+def _elementwise(expr, *arrays):
+    """expr(*arrays) for an element-by-element expr of float arrays that
+    broadcast together, evaluated one block at a time when the broadcast
+    shape holds more than _BLOCK elements.  Every output element is
+    computed by the same operations on the same inputs as in one call.
+
+    The product of the input sizes bounds the broadcast size, so a small
+    call makes no numpy call before expr.
+    """
+    size = 1
+    for a in arrays:
+        size *= a.size
+    if size <= _BLOCK:
+        return expr(*arrays)
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    if math.prod(shape) <= _BLOCK:
+        return expr(*arrays)
+    rank = len(shape)
+    arrays = [a.reshape((1,) * (rank - a.ndim) + a.shape) for a in arrays]
+    out = np.empty(shape)
+    for block in _blocks(shape):
+        out[block] = expr(*(_part(a, block) for a in arrays))
+    return out
+
+
+def _log_loss(p, y):
+    with np.errstate(divide="ignore"):
+        return np.where(y == 1, -np.log(p), -np.log1p(-p))
+
+
 def log_loss(p, y):
     """-y log p - (1-y) log(1-p), with +inf when the realized branch has
     probability zero.
@@ -222,41 +281,48 @@ def log_loss(p, y):
         return math.inf if p == 1 else float(-np.log1p(-p))
     p = _as_float_array(p)
     yv = _as_float_array(y)
-    with np.errstate(divide="ignore"):
-        out = np.where(yv == 1, -np.log(p), -np.log1p(-p))
+    out = _elementwise(_log_loss, p, yv)
     return _maybe_scalar(out, p, y)
+
+
+def _eta(p, y):
+    with np.errstate(divide="ignore"):
+        return np.where(y == 1, -1.0 / p, 1.0 / (1.0 - p))
 
 
 def eta(p, y):
     """First derivative of the log loss in the prediction: -y/p + (1-y)/(1-p)."""
     p = _as_float_array(p)
     yv = _as_float_array(y)
-    with np.errstate(divide="ignore"):
-        out = np.where(yv == 1, -1.0 / p, 1.0 / (1.0 - p))
+    out = _elementwise(_eta, p, yv)
     return _maybe_scalar(out, p, y)
+
+
+def _phi(z):
+    return z - np.abs(z) + np.log1p(np.abs(z))
 
 
 def phi(z):
     """z - |z| + log(1 + |z|); the self-concordance surrogate for regret."""
     z = _as_float_array(z)
-    out = z - np.abs(z) + np.log1p(np.abs(z))
+    out = _elementwise(_phi, z)
     return _maybe_scalar(out, z)
+
+
+def _omega(z):
+    if np.any(z < 0):
+        raise ValueError("omega requires nonnegative input")
+    return z - np.log1p(z)
 
 
 def omega(z):
     """z - log(1 + z) for z >= 0."""
     z = _as_float_array(z)
-    if np.any(z < 0):
-        raise ValueError("omega requires nonnegative input")
-    out = z - np.log1p(z)
+    out = _elementwise(_omega, z)
     return _maybe_scalar(out, z)
 
 
-def kl_bernoulli(p, q):
-    """KL divergence between Ber(p) and Ber(q), with the 0 log 0 = 0
-    convention; +inf when q puts zero mass where p does not."""
-    p = _as_float_array(p)
-    q = _as_float_array(q)
+def _kl_bernoulli(p, q):
     with np.errstate(divide="ignore", invalid="ignore"):
         t1 = np.where(p > 0, p * (np.log(p) - np.log(q)), 0.0)
         t2 = np.where(
@@ -265,7 +331,15 @@ def kl_bernoulli(p, q):
         # absolute continuity failures: p>0, q=0 or p<1, q=1
         t1 = np.where((p > 0) & (q == 0), np.inf, t1)
         t2 = np.where((p < 1) & (q == 1), np.inf, t2)
-    out = t1 + t2
+    return t1 + t2
+
+
+def kl_bernoulli(p, q):
+    """KL divergence between Ber(p) and Ber(q), with the 0 log 0 = 0
+    convention; +inf when q puts zero mass where p does not."""
+    p = _as_float_array(p)
+    q = _as_float_array(q)
+    out = _elementwise(_kl_bernoulli, p, q)
     return _maybe_scalar(out, p, q)
 
 
@@ -278,16 +352,7 @@ def clip_prob(p, delta):
     return _maybe_scalar(out, p)
 
 
-def psi(p, lam, v):
-    """E_{y~p} exp{lam * phi(eta(p, y) * v)} in closed form.
-
-    For p in {0, 1} the zero-weight branch is dropped, giving the reduced
-    one-term formulas (1 - v)^lam e^{2 lam v} and (1 + v)^lam e^{-2 lam v}.
-    """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    p = _as_float_array(p)
-    v = _as_float_array(v)
+def _psi(p, v, lam):
     tol = 1e-12
     if np.any((v < p - 1 - tol) | (v > p + tol)):
         raise ValueError("v must lie in [p - 1, p]")
@@ -305,5 +370,18 @@ def psi(p, lam, v):
             * np.exp(lam * (v - av) / np.where(p < 1, 1 - p, 1.0)),
             0.0,
         )
-    out = head + tail
+    return head + tail
+
+
+def psi(p, lam, v):
+    """E_{y~p} exp{lam * phi(eta(p, y) * v)} in closed form.
+
+    For p in {0, 1} the zero-weight branch is dropped, giving the reduced
+    one-term formulas (1 - v)^lam e^{2 lam v} and (1 + v)^lam e^{-2 lam v}.
+    """
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    p = _as_float_array(p)
+    v = _as_float_array(v)
+    out = _elementwise(lambda p, v: _psi(p, v, lam), p, v)
     return _maybe_scalar(out, p, v)

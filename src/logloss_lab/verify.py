@@ -1,15 +1,19 @@
 """Numerical certification of the inequality lemmas behind the regret bound.
 
 Each check evaluates one inequality over an explicit grid (or, for the
-tree identities, by exact path enumeration over random instances) and
+tree identities, exactly over every path of random instances) and
 reports the worst signed slack, where slack = bound minus quantity, so
 negative means a violation.  Nothing here is a proof; the grids are
 dense enough to catch any implementation drift in the closed forms.
 
-Every check keeps its slack in the shape of its grid and reads the worst
-point off the grid axes at the first minimum; no array of points is built.
+The grid checks, `sup_psi` and `lambda_threshold_scan` compute their
+slack a block of grid rows at a time, each block at most `core._BLOCK`
+elements, and reduce the blocks in the grid's flat order with
+np.argmin's rule (the first NaN, otherwise the first minimum); the worst
+point is read off the grid axes, and no grid-sized array is built.
 PHI_LIPSCHITZ certifies all m^2 pairs of its grid in O(m) by a
-running-maximum reduction.
+running-maximum reduction.  ETA_IDENTITY and ESTIMATION carry path
+weights and score sums down the tree level by level.
 """
 
 from __future__ import annotations
@@ -20,12 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _BLOCK,
     ESTIMATION_CONSTANT,
     eta,
     kl_bernoulli,
     log_loss,
     omega,
-    path_node_indices,
     phi,
     psi,
 )
@@ -59,25 +63,53 @@ _Y = np.array([0.0, 1.0])
 
 @dataclass
 class CheckReport:
+    """`points` counts the grid cells whose slack was scored, or for the
+    tree checks the paths their exact expectations run over."""
+
     check_id: str
     grid_spec: str
     worst_slack: float
     worst_point: tuple
     tolerance: float
     passed: bool
+    points: int = 0
 
 
-def _report(check_id, grid_spec, slack, coords, tolerance) -> CheckReport:
-    """Assemble a report from a slack array and its grid axes.
+def _row_blocks(n_rows, width):
+    """Slices that cover range(n_rows) in order, each of as many rows of
+    `width` elements as fit in _BLOCK, and at least one."""
+    step = max(1, _BLOCK // max(width, 1))
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
 
-    `coords` are arrays that broadcast to `slack.shape`; the worst point
-    reads each of them at the first minimum of `slack`.  A NaN slack counts
-    as the worst (and fails), and +inf never beats a finite slack.
+
+def _first_min(blocks):
+    """np.argmin over `blocks` laid end to end in flat order: the first
+    NaN wins, otherwise the earliest minimum.
+
+    Returns (flat index, value, elements seen); (0, inf, 0) for no blocks.
     """
-    slack = np.asarray(slack, dtype=float)
-    k = np.unravel_index(int(np.argmin(slack)), slack.shape)
-    worst = float(slack[k])
-    point = tuple(float(np.broadcast_to(c, slack.shape)[k]) for c in coords)
+    k, best, seen = 0, math.inf, 0
+    for b in blocks:
+        j = int(np.argmin(b))
+        v = float(b.flat[j])
+        if v < best or (v != v and best == best):
+            k, best = seen + j, v
+        seen += b.size
+    return k, best, seen
+
+
+def _report(check_id, grid_spec, blocks, coords, tolerance, points=None):
+    """Assemble a report from the slack blocks of a grid and its axes.
+
+    `coords` are arrays that broadcast to the grid's shape, and `blocks`
+    yields the grid's slack in C order; the worst point reads each axis at
+    the first minimum.  A NaN slack counts as the worst (and fails), and
+    +inf never beats a finite slack.
+    """
+    shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
+    k, worst, seen = _first_min(blocks)
+    at = np.unravel_index(k, shape)
+    point = tuple(float(np.broadcast_to(c, shape)[at]) for c in coords)
     return CheckReport(
         check_id=check_id,
         grid_spec=grid_spec,
@@ -85,6 +117,7 @@ def _report(check_id, grid_spec, slack, coords, tolerance) -> CheckReport:
         worst_point=point,
         tolerance=tolerance,
         passed=worst >= -tolerance,
+        points=seen if points is None else points,
     )
 
 
@@ -121,7 +154,7 @@ def _check_phi_lipschitz(resolution):
     return _report(
         "PHI_LIPSCHITZ",
         f"s,t in [-100,100] step {resolution:g} ({m}^2 points)",
-        slack,
+        [slack],
         (s[rows], s[cols]),
         1e-9,
     )
@@ -130,16 +163,20 @@ def _check_phi_lipschitz(resolution):
 def _check_sc_pointwise(resolution):
     p = _interior_grid(resolution)
     f = _interior_grid(resolution)
-    slacks = []
-    for y in (0, 1):
-        lp = log_loss(p, y)[:, None]
-        lf = log_loss(f, y)[None, :]
-        z = eta(p, y)[:, None] * (p[:, None] - f[None, :])
-        slacks.append(phi(z) - (lp - lf))
+
+    def slack():
+        for y in (0, 1):
+            lf = log_loss(f, y)[None, :]
+            for rows in _row_blocks(p.size, f.size):
+                pr = p[rows]
+                lp = log_loss(pr, y)[:, None]
+                z = eta(pr, y)[:, None] * (pr[:, None] - f[None, :])
+                yield phi(z) - (lp - lf)
+
     return _report(
         "SC_POINTWISE",
         f"p,f in [{_EDGE:g},1-{_EDGE:g}] step {resolution:g}, y in {{0,1}}",
-        np.stack(slacks),
+        slack(),
         (p[None, :, None], f[None, None, :], _Y[:, None, None]),
         1e-9,
     )
@@ -148,18 +185,21 @@ def _check_sc_pointwise(resolution):
 def _check_sc_edge(resolution):
     m = int(math.floor(1.0 / resolution)) + 1
     f = np.linspace(0.0, 1.0, m)
-    with np.errstate(divide="ignore"):
+    branches = (
         # p = 1 branch: log f <= log(2 - f) - 2(1 - f)
-        s1 = np.log(2.0 - f) - 2.0 * (1.0 - f) - np.log(f)
+        lambda f: np.log(2.0 - f) - 2.0 * (1.0 - f) - np.log(f),
         # p = 0 branch: log(1 - f) <= log(1 + f) - 2f
-        s0 = np.log1p(f) - 2.0 * f - np.log1p(-f)
-    return _report(
-        "SC_EDGE",
-        f"f in [0,1] step {resolution:g}, both boundary branches",
-        np.stack([s1, s0]),
-        (f[None, :], np.array([[1.0], [0.0]])),
-        1e-9,
+        lambda f: np.log1p(f) - 2.0 * f - np.log1p(-f),
     )
+    with np.errstate(divide="ignore"):
+        return _report(
+            "SC_EDGE",
+            f"f in [0,1] step {resolution:g}, both boundary branches",
+            (branch(f[rows]) for branch in branches
+             for rows in _row_blocks(m, 1)),
+            (f[None, :], np.array([[1.0], [0.0]])),
+            1e-9,
+        )
 
 
 def _check_nesterov(resolution):
@@ -167,21 +207,37 @@ def _check_nesterov(resolution):
     scalar log loss F(p) = loss(p, y)."""
     s = _interior_grid(resolution)
     t = _interior_grid(resolution)
-    d = t[None, :] - s[:, None]
-    slacks = []
-    for y in (0, 1):
-        fs = log_loss(s, y)[:, None]
-        ft = log_loss(t, y)[None, :]
-        grad = eta(s, y)[:, None]
-        hess = np.where(y == 1, 1.0 / s**2, 1.0 / (1.0 - s) ** 2)[:, None]
-        slacks.append(ft - fs - grad * d - omega(np.sqrt(hess) * np.abs(d)))
+
+    def slack():
+        for y in (0, 1):
+            ft = log_loss(t, y)[None, :]
+            for rows in _row_blocks(s.size, t.size):
+                sr = s[rows]
+                d = t[None, :] - sr[:, None]
+                fs = log_loss(sr, y)[:, None]
+                grad = eta(sr, y)[:, None]
+                hess = np.where(y == 1, 1.0 / sr**2, 1.0 / (1.0 - sr) ** 2)
+                yield (ft - fs - grad * d
+                       - omega(np.sqrt(hess[:, None]) * np.abs(d)))
+
     return _report(
         "NESTEROV",
         f"s,t in [{_EDGE:g},1-{_EDGE:g}] step {resolution:g}, y in {{0,1}}",
-        np.stack(slacks),
+        slack(),
         (s[None, :, None], t[None, None, :], _Y[:, None, None]),
         1e-9,
     )
+
+
+def _self_concordant_slack(s, y):
+    if y == 1:
+        hess = 1.0 / s**2
+        third = 2.0 / s**3
+    else:
+        hess = 1.0 / (1.0 - s) ** 2
+        third = 2.0 / (1.0 - s) ** 3
+    bound = 2.0 * hess * np.sqrt(hess)
+    return (bound - third) / bound
 
 
 def _check_self_concordant(resolution):
@@ -189,21 +245,12 @@ def _check_self_concordant(resolution):
     reported relative to 2 F''^{3/2} since the raw values reach 1e18 near
     the boundary."""
     s = _interior_grid(resolution)
-    slacks = []
-    for y in (0, 1):
-        if y == 1:
-            hess = 1.0 / s**2
-            third = 2.0 / s**3
-        else:
-            hess = 1.0 / (1.0 - s) ** 2
-            third = 2.0 / (1.0 - s) ** 3
-        bound = 2.0 * hess * np.sqrt(hess)
-        slacks.append((bound - third) / bound)
     return _report(
         "SELF_CONCORDANT",
         f"s in [{_EDGE:g},1-{_EDGE:g}] step {resolution:g}, y in {{0,1}}; "
         "relative slack",
-        np.stack(slacks),
+        (_self_concordant_slack(s[rows], y) for y in (0, 1)
+         for rows in _row_blocks(s.size, 1)),
         (s[None, :], _Y[:, None]),
         1e-9,
     )
@@ -224,16 +271,16 @@ def _check_clipping(resolution):
     m = int(math.floor(1.0 / resolution)) + 1
     p = np.linspace(0.0, 1.0, m)
     d = _half_axis("CLIPPING", resolution)
-    clipped = np.clip(p[:, None], d[None, :], 1.0 - d[None, :])
-    slack = np.stack([
-        log_loss(p, y)[:, None] + 2.0 * d[None, :] - log_loss(clipped, y)
-        for y in (0, 1)
-    ])
+
+    def slack(pr, y):
+        clipped = np.clip(pr[:, None], d[None, :], 1.0 - d[None, :])
+        return log_loss(pr, y)[:, None] + 2.0 * d[None, :] - log_loss(clipped, y)
+
     return _report(
         "CLIPPING",
         f"p in [0,1], delta in ({resolution:g},0.5] step {resolution:g}, "
         "y in {0,1}",
-        slack,
+        (slack(p[rows], y) for y in (0, 1) for rows in _row_blocks(m, d.size)),
         (p[None, :, None], d[None, None, :], _Y[:, None, None]),
         1e-9,
     )
@@ -242,76 +289,95 @@ def _check_clipping(resolution):
 def _check_kl_eps(resolution):
     eps = _half_axis("KL_EPS", resolution)
     mq = int(math.floor(1.0 / resolution)) + 1
-    q = np.linspace(0.0, 1.0, mq)
-    e = eps[:, None]
-    qq = q[None, :]
-    rhs = (e / 4.0) * (qq >= 2.0 * e) + (e / 6.0) * (qq <= e / 2.0)
+    qq = np.linspace(0.0, 1.0, mq)[None, :]
+
+    def slack(e):
+        rhs = (e / 4.0) * (qq >= 2.0 * e) + (e / 6.0) * (qq <= e / 2.0)
+        return kl_bernoulli(e, qq) - rhs
+
     return _report(
         "KL_EPS",
         f"eps in ({resolution:g},0.5], q in [0,1], step {resolution:g}",
-        kl_bernoulli(e, qq) - rhs,
-        (e, qq),
+        (slack(eps[rows, None]) for rows in _row_blocks(eps.size, mq)),
+        (eps[:, None], qq),
         1e-9,
     )
 
 
-def _random_prob_tree(rng, n):
-    vals = rng.uniform(size=(1 << n) - 1)
-    return np.clip(vals, 1e-9, 1.0 - 1e-9)
+def _random_prob_trees(rng, n, count=None):
+    """Node probabilities of `count` depth-n trees (one tree when None),
+    drawn in one call: the same stream as drawing the trees one by one."""
+    size = (1 << n) - 1 if count is None else (count, (1 << n) - 1)
+    return np.clip(rng.uniform(size=size), 1e-9, 1.0 - 1e-9)
 
 
-def _path_tables(pvals, n):
-    """Per-path weights and node values for exact enumeration.
+def _levels(pvals, n):
+    """Walk depth-n probability trees (nodes on the last axis) round by round.
 
-    Returns (bits, node_probs, weights): bits is the (2^n, n) outcome
-    array, node_probs the probability at the visited node of each round,
-    and weights the probability of each path under the tree.
+    Yields, for round t, the flat node slice of its level, the weight of
+    every path prefix through round t, and eta of that prefix's round-t
+    outcome.  Prefixes are in the tree's level order: the outcome-0
+    children of the level's nodes, then their outcome-1 children, so after
+    round n they are the paths in bitmask order.  Each weight is the
+    product of the outcome probabilities in round order.
     """
-    idx = path_node_indices(n)
-    paths = np.arange(1 << n)[:, None]
-    bits = (paths >> np.arange(n)[None, :]) & 1
-    node_p = pvals[idx]
-    w = np.where(bits == 1, node_p, 1.0 - node_p).prod(axis=1)
-    return bits, node_p, w
+    w = np.ones(pvals.shape[:-1] + (1,))
+    for t in range(1, n + 1):
+        nodes = slice((1 << (t - 1)) - 1, (1 << t) - 1)
+        p = pvals[..., nodes]
+        w = np.concatenate((w, w), axis=-1) * np.concatenate((1.0 - p, p), axis=-1)
+        yield nodes, w, np.concatenate((1.0 / (1.0 - p), -1.0 / p), axis=-1)
+
+
+def _eta_expectation(pvals, n):
+    """E sum_t |eta_t| over the paths of each tree, with each path's sum
+    taken in round order."""
+    score = np.zeros(pvals.shape[:-1] + (1,))
+    for _, w, e in _levels(pvals, n):
+        score = np.concatenate((score, score), axis=-1) + np.abs(e)
+    return (w * score).sum(axis=-1)
+
+
+def _estimation_value(pvals, vtrees, n):
+    """E max_k sum_t phi(eta_t v_k,t) over the paths of one tree, with
+    each sum taken in round order: 2k(2^n - 1) phi terms in all."""
+    score = np.zeros((vtrees.shape[0], 1))
+    for nodes, w, e in _levels(pvals, n):
+        v = vtrees[:, nodes]
+        score = (np.concatenate((score, score), axis=1)
+                 + phi(e * np.concatenate((v, v), axis=1)))
+    return (w * score.max(axis=0)).sum()
 
 
 def _check_eta_identity(resolution, seed, n=8, n_trees=100):
     """E sum_t |loss'(p_t(y), y_t)| = 2n exactly, any prob tree."""
     del resolution
     rng = np.random.default_rng(seed)
-    totals = []
-    for _ in range(n_trees):
-        pvals = _random_prob_tree(rng, n)
-        bits, node_p, w = _path_tables(pvals, n)
-        abs_eta = np.where(bits == 1, 1.0 / node_p, 1.0 / (1.0 - node_p))
-        totals.append((w * abs_eta.sum(axis=1)).sum())
-    totals = np.array(totals)
+    totals = _eta_expectation(_random_prob_trees(rng, n, n_trees), n)
     return _report(
         "ETA_IDENTITY",
         f"n={n}, {n_trees} random prob trees, exact enumeration",
-        -np.abs(totals - 2.0 * n),
+        [-np.abs(totals - 2.0 * n)],
         (np.arange(n_trees), totals),
         1e-9,
+        points=n_trees << n,
     )
 
 
 def _check_estimation(resolution, seed, n_instances=200, max_n=10, max_sets=16):
     """E max over a finite tree set V of sum_t phi(eta_t v_t) is at most
-    c log|V|, by exact enumeration over random instances."""
+    c log|V|, exactly over every path of random instances."""
     del resolution
     rng = np.random.default_rng(seed)
-    rows = []
+    rows, paths = [], 0
     for _ in range(n_instances):
         n = int(rng.integers(1, max_n + 1))
         k = int(rng.integers(2, max_sets + 1))
-        pvals = _random_prob_tree(rng, n)
+        pvals = _random_prob_trees(rng, n)
         # value trees in [p - 1, p] nodewise
         vtrees = pvals[None, :] - rng.uniform(size=(k, pvals.size))
-        bits, node_p, w = _path_tables(pvals, n)
-        idx = path_node_indices(n)
-        ev = np.where(bits == 1, -1.0 / node_p, 1.0 / (1.0 - node_p))
-        scores = phi(ev[None, :, :] * vtrees[:, idx]).sum(axis=2)
-        value = (w * scores.max(axis=0)).sum()
+        value = _estimation_value(pvals, vtrees, n)
+        paths += 1 << n
         rows.append((n, k, value, ESTIMATION_CONSTANT * math.log(k)))
     ns, ks, values, bounds = np.array(rows).T
     max_ratio = np.max(values / bounds, initial=0.0, where=values > 0)
@@ -321,16 +387,23 @@ def _check_estimation(resolution, seed, n_instances=200, max_n=10, max_sets=16):
             f"{n_instances} random instances, n<= {max_n}, |V|<= {max_sets}; "
             f"max observed value/bound ratio {max_ratio:.3g}"
         ),
-        bounds - values,
+        [bounds - values],
         (np.arange(n_instances), ns, ks, values),
         1e-9,
+        points=paths,
     )
+
+
+def _validate_resolution(resolution):
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError(
+            f"resolution must be finite and positive, got {resolution!r}"
+        )
 
 
 def run_check(check_id: str, resolution: float = 1e-3, seed: int = 0, **kwargs):
     """Run one named inequality check; see CHECK_IDS."""
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    _validate_resolution(resolution)
     if check_id == "PHI_LIPSCHITZ":
         return _check_phi_lipschitz(resolution)
     if check_id == "SC_POINTWISE":
@@ -362,15 +435,20 @@ def sup_psi(lam: float, resolution: float = 1e-3):
     Returns (sup_value, (p, v))."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
+    _validate_resolution(resolution)
     m = int(math.floor(1.0 / resolution)) + 1
     p = np.linspace(0.0, 1.0, m)
     u = np.linspace(0.0, 1.0, m)
-    v = p[:, None] - 1.0 + u[None, :]  # spans [p-1, p]
-    vals = psi(p[:, None], lam, v)
-    k = int(np.argmax(vals))
+    # v = p - 1 + u spans [p-1, p]; the first maximum is the first minimum
+    # of -psi, NaN first as for np.argmax
+    k, low, _ = _first_min(
+        -psi(p[rows, None], lam, p[rows, None] - 1.0 + u[None, :])
+        for rows in _row_blocks(m, m)
+    )
+    top = -low
     i, j = divmod(k, m)
     p_best = float(p[i])
-    v_best = float(v[i, j])
+    v_best = float(p[i] - 1.0 + u[j])
 
     from .bounds import golden_section
 
@@ -378,9 +456,9 @@ def sup_psi(lam: float, resolution: float = 1e-3):
     hi = min(p_best, v_best + 2.0 * resolution)
     v_ref = golden_section(lambda x: -psi(p_best, lam, x), lo, hi, tol=1e-12)
     best = float(psi(p_best, lam, v_ref))
-    if best >= vals.flat[k]:
+    if best >= top:
         return best, (p_best, float(v_ref))
-    return float(vals.flat[k]), (p_best, v_best)
+    return top, (p_best, v_best)
 
 
 def _case1_ratio(p, v):
@@ -401,30 +479,28 @@ def lambda_threshold_scan(resolution: float = 1e-3) -> float:
     """Minimum over the (p, v) grid of both threshold-ratio expressions;
     equals the critical exponential-moment parameter up to grid error.
 
-    Points with |v| < resolution are excluded (0/0 as v -> 0).
+    Points with |v| < resolution are excluded (0/0 as v -> 0), and NaN
+    ratios are skipped.
     """
+    _validate_resolution(resolution)
     if resolution > 1e-3:
         raise ValueError("resolution must be <= 1e-3")
     m = int(math.floor(1.0 / resolution))
     p = np.linspace(resolution, 1.0 - resolution, m)
     u = np.linspace(0.0, 1.0, m)[None, :]
+    cases = (
+        # case 1: v from p-1 up to -resolution, where the interval is nonempty
+        (_case1_ratio, p - 1.0, (-resolution) - (p - 1.0)),
+        # case 2: v from resolution up to p
+        (_case2_ratio, np.full(m, resolution), p - resolution),
+    )
     best = np.inf
-    # case 1: v from p-1 up to -resolution, where the interval is nonempty
-    span = (-resolution) - (p - 1.0)
-    ok = span > 0
-    v1 = (p[:, None] - 1.0) + u * np.where(ok, span, 0.0)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        r1 = _case1_ratio(p[:, None], v1)
-    r1 = r1[ok, :]
-    if r1.size:
-        best = min(best, float(np.nanmin(r1)))
-    # case 2: v from resolution up to p
-    span = p - resolution
-    ok = span > 0
-    v2 = resolution + u * np.where(ok, span, 0.0)[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r2 = _case2_ratio(p[:, None], v2)
-    r2 = r2[ok, :]
-    if r2.size:
-        best = min(best, float(np.nanmin(r2)))
+        for ratio, start, span in cases:
+            ok = span > 0
+            pk, start, span = p[ok, None], start[ok, None], span[ok, None]
+            blocks = (ratio(pk[rows], start[rows] + u * span[rows])
+                      for rows in _row_blocks(len(pk), m))
+            low = _first_min(np.where(np.isnan(r), np.inf, r) for r in blocks)
+            best = min(best, low[1])
     return best

@@ -107,6 +107,11 @@ def test_verify_json_report(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["checks"][0]["pass"] is True
+    assert set(report["checks"][0]) == {
+        "check_id", "grid_spec", "worst_slack", "worst_point", "tolerance",
+        "pass", "points",
+    }
+    assert report["checks"][0]["points"] == 2 * 1001  # two branches, step 1e-3
 
 
 def test_verify_all_default_resolution(tmp_path):
@@ -339,6 +344,12 @@ def test_exit_code_configuration_errors(capsys):
     assert "unknown check_id" in capsys.readouterr().err
     assert main(["verify", "--checks", "CLIPPING", "--resolution", "0.6"]) == 2
     assert "CLIPPING: resolution 0.6" in capsys.readouterr().err
+    for bad in ("inf", "nan"):
+        assert main(["verify", "--checks", "SC_POINTWISE,NESTEROV",
+                     "--resolution", bad]) == 2
+        assert f"resolution must be finite and positive, got {bad}" in (
+            capsys.readouterr().err
+        )
 
 
 def test_exit_code_internal_error(monkeypatch, capsys):

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from logloss_lab import core as core_mod
 from logloss_lab.core import (
     ESTIMATION_CONSTANT,
     LAMBDA_STAR,
@@ -240,3 +241,108 @@ def test_psi_edges_and_validation():
         psi(0.5, lam, 0.6)
     with pytest.raises(ValueError):
         psi(0.5, -1.0, 0.0)
+
+
+# Blocked kernels: a call over more than core._BLOCK broadcast elements is
+# evaluated a block at a time; it must equal the one-call evaluation, which
+# the kernels take when _BLOCK is raised past the input size.
+
+KERNELS = {
+    "log_loss": lambda a, b: log_loss(a, b > 0.5),
+    "eta": lambda a, b: eta(a, (b > 0.5).astype(float)),
+    "phi": lambda a, b: phi(40.0 * a - 20.0 * b),
+    "omega": lambda a, b: omega(50.0 * a * b),
+    "kl_bernoulli": kl_bernoulli,
+    "psi": lambda a, b: psi(a, 0.31, a - b),
+}
+
+
+def _kernel_inputs(shape_a, shape_b, seed=0):
+    """Uniform inputs with exact 0s and 1s and NaNs mixed in."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(size=shape_a)
+    b = rng.uniform(size=shape_b)
+    for x in (a, b):
+        flat = x.reshape(-1)
+        flat[rng.integers(0, flat.size, size=1 + flat.size // 50)] = 0.0
+        flat[rng.integers(0, flat.size, size=1 + flat.size // 50)] = 1.0
+        flat[rng.integers(0, flat.size, size=1 + flat.size // 97)] = np.nan
+    return a, b
+
+
+def _one_call(monkeypatch, fn, *args):
+    with monkeypatch.context() as m:
+        m.setattr(core_mod, "_BLOCK", 1 << 62)
+        return fn(*args)
+
+
+def _assert_blocked_equals_one_call(monkeypatch, fn, *args):
+    with np.errstate(all="ignore"):
+        got = fn(*args)
+        want = _one_call(monkeypatch, fn, *args)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+@pytest.mark.parametrize("offset", ["1", "B-1", "B", "B+1", "3B+7"])
+def test_blocked_kernels_match_one_call_by_size(name, offset, monkeypatch):
+    B = core_mod._BLOCK
+    size = {"1": 1, "B-1": B - 1, "B": B, "B+1": B + 1, "3B+7": 3 * B + 7}[offset]
+    a, b = _kernel_inputs(size, size)
+    _assert_blocked_equals_one_call(monkeypatch, KERNELS[name], a, b)
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+@pytest.mark.parametrize("block", [None, 7])
+def test_blocked_kernels_match_one_call_broadcast(name, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(core_mod, "_BLOCK", block)
+    m = 40 if block else 200  # m^2 is past the block either way
+    a, b = _kernel_inputs((m, 1), (m, m), seed=1)
+    fn = KERNELS[name]
+    _assert_blocked_equals_one_call(monkeypatch, fn, a, b)
+    _assert_blocked_equals_one_call(monkeypatch, fn, a, b[:1, :])
+    _assert_blocked_equals_one_call(monkeypatch, fn, a[None, :, :], b[None, :1, :])
+
+
+_Y01 = np.array([[0.0, 1.0]])
+
+
+def test_blocked_kernels_infinite_inputs(monkeypatch):
+    monkeypatch.setattr(core_mod, "_BLOCK", 5)
+    z = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 1.0, -1.0, 1e308, -1e308])
+    z = np.concatenate([z, z[::-1], z])
+    with np.errstate(over="ignore", invalid="ignore"):
+        zz = z[:, None] * z[None, :]
+    _assert_blocked_equals_one_call(monkeypatch, phi, z)
+    _assert_blocked_equals_one_call(monkeypatch, phi, zz)
+    _assert_blocked_equals_one_call(monkeypatch, omega, np.abs(z))
+    _assert_blocked_equals_one_call(monkeypatch, kl_bernoulli, z[:, None], z[None, :])
+    p = np.clip(np.abs(z), 0.0, 1.0)
+    _assert_blocked_equals_one_call(monkeypatch, log_loss, p[:, None], _Y01)
+    _assert_blocked_equals_one_call(monkeypatch, eta, p[:, None], _Y01)
+
+
+def test_blocked_kernel_errors_raise_from_a_late_block():
+    B = core_mod._BLOCK
+    z = np.ones(3 * B + 7)
+    z[-1] = -0.5
+    with pytest.raises(ValueError, match="nonnegative"):
+        omega(z)
+    p = np.full(3 * B + 7, 0.5)
+    v = np.zeros_like(p)
+    v[-1] = 0.6
+    with pytest.raises(ValueError, match=r"\[p - 1, p\]"):
+        psi(p, 0.3, v)
+    with pytest.raises(ValueError, match="lambda"):
+        psi(p, 0.0, np.zeros_like(p))
+
+
+def test_scalar_kernel_calls_return_floats():
+    for got in (log_loss(0.3, 1), eta(0.3, 0), phi(-2.0), omega(2.0),
+                kl_bernoulli(0.2, 0.4), psi(0.4, 0.3, 0.1),
+                phi(np.float64(1.5)), log_loss(np.array(0.25), np.array(1))):
+        assert type(got) is float
+    assert log_loss(0.0, 1) == math.inf
+    assert psi(0.4, 0.3, 0.1) == float(psi(np.array([0.4]), 0.3, np.array([0.1]))[0])
