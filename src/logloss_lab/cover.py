@@ -139,24 +139,40 @@ def _demand_conflicts(gvals: np.ndarray, depth: int, gamma: float) -> list:
     return _bitmasks(conf.transpose(0, 2, 1, 3).reshape(-1, paths * n_experts))
 
 
+def _clique_size(masks: list) -> int:
+    """Size of a clique of the conflict graph taken greedily in descending
+    degree (ties by index): no colouring uses fewer groups."""
+    degree = [m.bit_count() for m in masks]
+    clique = 0
+    for i in sorted(range(len(masks)), key=degree.__getitem__, reverse=True):
+        if masks[i] & clique == clique:
+            clique |= 1 << i
+    return clique.bit_count()
+
+
 def _fewest_groups(masks: list):
     """(labels, size) of a minimal colouring of the conflict graph, by
     branch and bound over group bitmasks.  Its first leaf is the first-fit
-    colouring, which seeds the bound."""
-    best = None, len(masks) + 1
+    colouring, which seeds the bound; the search stops once a colouring
+    is as small as a clique.  First fit opens a second group only on a
+    conflict, so a clique is taken only when it opens more than two."""
+    best, limit, floor = None, len(masks) + 1, None
 
     def place(i, unions, labels):
-        nonlocal best
-        if len(unions) >= best[1]:
+        nonlocal best, limit, floor
+        if len(unions) >= limit:
             return
         if i == len(masks):
+            if floor is None:
+                floor = len(unions) if len(unions) <= 2 else _clique_size(masks)
             best = labels, len(unions)
+            limit = 0 if len(unions) == floor else len(unions)  # 0 ends the search
             return
         for j, union in enumerate(unions):
             if not union >> i & 1:
                 joined = unions[:j] + (union | masks[i],) + unions[j + 1:]
                 place(i + 1, joined, labels + [j])
-        if len(unions) + 1 < best[1]:
+        if len(unions) + 1 < limit:
             place(i + 1, unions + (masks[i],), labels + [len(unions)])
 
     place(0, (), [])

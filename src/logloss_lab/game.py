@@ -11,7 +11,10 @@ Each `GameInstance` solves this once, level by level, into one table that
 mixture's `worst_case_search` read: over count states under `StaticContexts`
 (how often each (context, outcome) pair occurred: C(t + 2k - 1, 2k - 1) at
 depth t, not (2k)^t histories), over histories under any other rule.
-STATE_GUARD bounds both; `worst_case_search` states the tie rule.
+STATE_GUARD bounds both; `worst_case_search` states the tie rule.  The
+count states' layout depends only on (k, n), so games of one shape share
+one read-only layout from a small store, which holds at most STATE_GUARD
+states and drops the least recently used layout first.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,6 +197,34 @@ def _count_levels(k: int, n: int):
     return children, states
 
 
+_LAYOUTS = OrderedDict()  # (k, n) -> (children, leaves), most recent last
+
+
+def _layout(k: int, n: int):
+    """`_count_levels(k, n)`, read-only and shared by every game of that
+    shape.  The stored layouts hold at most STATE_GUARD states in all (a
+    layout holds C(n + 2k, 2k)); the least recently used goes first."""
+    key = k, n
+    if key in _LAYOUTS:
+        _LAYOUTS.move_to_end(key)
+        return _LAYOUTS[key]
+    children, leaves = _count_levels(k, n)
+    for a in (*children, leaves):
+        a.flags.writeable = False
+    while _LAYOUTS and _stored_states() + _layout_states(k, n) > STATE_GUARD:
+        _LAYOUTS.popitem(last=False)
+    _LAYOUTS[key] = layout = tuple(children), leaves
+    return layout
+
+
+def _layout_states(k: int, n: int) -> int:
+    return math.comb(n + 2 * k, 2 * k)
+
+
+def _stored_states() -> int:
+    return sum(_layout_states(k, n) for k, n in _LAYOUTS)
+
+
 class _Table:
     """W by depth (`values[t]`, `states` nodes); a subclass lays them out."""
 
@@ -218,7 +250,7 @@ class _CountTable(_Table):
     def __init__(self, g: GameInstance):
         self.contexts = g.availability.contexts
         self.cell = {x: i for i, x in enumerate(self.contexts)}
-        self.children, self.leaves = _count_levels(len(self.contexts), g.horizon)
+        self.children, self.leaves = _layout(len(self.contexts), g.horizon)
         w = np.max(self.leaf_log_lik(g.expert_class), axis=1)
         self.values = [w]
         for child in reversed(self.children):
@@ -404,11 +436,12 @@ def dual_value(g: GameInstance, s: DualStrategy) -> float:
     The nodes such paths reach are checked first (`_check_reached`).  Then
     one pass over the tree levels carries, for every prefix, the path
     probability, the player's and each expert's cumulative loss, and
-    whether no branch so far was exactly zero.  Row y of a level's
-    (2, nodes) step extends every prefix by outcome y, so the next level
-    holds the outcome-0 children, then the outcome-1 children (see
-    BinaryTree.level).  The branch probabilities, the player's losses and
-    the nodes' class columns are taken once for the whole tree.
+    whether no branch so far was exactly zero (only when some branch is).
+    Row y of a level's (2, nodes) step extends every prefix by outcome y, so
+    the next level holds the outcome-0 children, then the outcome-1
+    children (see BinaryTree.level).  The branch probabilities, the
+    player's losses and every node's expert log-likelihoods are taken once
+    for the whole tree.
     """
     n = g.horizon
     if s.context_tree.depth != n:
@@ -422,19 +455,23 @@ def dual_value(g: GameInstance, s: DualStrategy) -> float:
     columns = np.maximum(columns, 0)  # an unreached node reads column 0
     losses = log_loss(p, np.array([[0], [1]]))
     ec = g.expert_class
-    lik = ec.log_lik.transpose(0, 2, 1)  # (outcome, context, expert)
+    lik = ec.log_lik.transpose(0, 2, 1).take(columns, axis=1)  # (outcome, node, expert)
     prob, player = np.ones(1), np.zeros(1)
     experts = np.zeros((1, ec.n_experts))  # (prefix, expert)
+    masked = not open_branch.all()
     reached = np.ones(1, dtype=bool)
     for t in range(1, n + 1):
         level = slice((1 << (t - 1)) - 1, (1 << t) - 1)
         prob = (prob * branch[:, level]).ravel()
         player = (player + losses[:, level]).ravel()
-        experts = (experts - lik.take(columns[level], axis=1)).reshape(-1, ec.n_experts)
-        reached = (reached & open_branch[:, level]).ravel()
-    best = experts[reached].min(axis=1)
+        experts = (experts - lik[:, level]).reshape(-1, ec.n_experts)
+        if masked:
+            reached = (reached & open_branch[:, level]).ravel()
+    if masked:
+        prob, player, experts = prob[reached], player[reached], experts[reached]
+    best = experts.min(axis=1)
     with np.errstate(invalid="ignore"):
-        return float(np.sum(prob[reached] * (player[reached] - best)))
+        return float(np.sum(prob * (player - best)))
 
 
 def random_dual_strategy(g: GameInstance, rng) -> DualStrategy:
@@ -443,17 +480,16 @@ def random_dual_strategy(g: GameInstance, rng) -> DualStrategy:
     _check_paths(n)
     prob = BinaryTree(n, values=rng.uniform(size=(1 << n) - 1))
     ctx = BinaryTree(n, values=np.empty((1 << n) - 1, dtype=object))
-    # One draw per level, which gives the per-node stream (a node with one
-    # option draws nothing).  Under StaticContexts every node has the same
-    # options, so no history is built.
+    # Under StaticContexts every node has the same options, so one draw for
+    # the whole tree gives the per-node stream and no history is built;
+    # under any other rule, one draw per level (a node with one option draws
+    # nothing).
     if _static(g):
         contexts = g.availability.contexts
         options = np.empty(len(contexts), dtype=object)
         for i, x in enumerate(contexts):  # a tuple id stays one element
             options[i] = x
-        for t in range(1, n + 1):
-            picks = rng.integers(len(contexts), size=1 << (t - 1))
-            ctx.level(t)[:] = options[picks]
+        ctx.values[:] = options[rng.integers(len(contexts), size=(1 << n) - 1)]
         return DualStrategy(context_tree=ctx, prob_tree=prob)
     # Context at (t, prefix) must be valid for every history reaching the
     # node; with the built-in rules availability depends on outcomes only,

@@ -401,27 +401,29 @@ def _validate_resolution(resolution):
         )
 
 
+_GRID_CHECKS = {
+    "PHI_LIPSCHITZ": _check_phi_lipschitz,
+    "SC_POINTWISE": _check_sc_pointwise,
+    "SC_EDGE": _check_sc_edge,
+    "NESTEROV": _check_nesterov,
+    "SELF_CONCORDANT": _check_self_concordant,
+    "CLIPPING": _check_clipping,
+    "KL_EPS": _check_kl_eps,
+}
+_SEEDED_CHECKS = {
+    "ETA_IDENTITY": _check_eta_identity,
+    "ESTIMATION": _check_estimation,
+}
+
+
 def run_check(check_id: str, resolution: float = 1e-3, seed: int = 0, **kwargs):
-    """Run one named inequality check; see CHECK_IDS."""
+    """Run one named inequality check; see CHECK_IDS.  Keywords go to the
+    check, so one it does not take raises TypeError."""
     _validate_resolution(resolution)
-    if check_id == "PHI_LIPSCHITZ":
-        return _check_phi_lipschitz(resolution)
-    if check_id == "SC_POINTWISE":
-        return _check_sc_pointwise(resolution)
-    if check_id == "SC_EDGE":
-        return _check_sc_edge(resolution)
-    if check_id == "NESTEROV":
-        return _check_nesterov(resolution)
-    if check_id == "SELF_CONCORDANT":
-        return _check_self_concordant(resolution)
-    if check_id == "CLIPPING":
-        return _check_clipping(resolution)
-    if check_id == "KL_EPS":
-        return _check_kl_eps(resolution)
-    if check_id == "ETA_IDENTITY":
-        return _check_eta_identity(resolution, seed, **kwargs)
-    if check_id == "ESTIMATION":
-        return _check_estimation(resolution, seed, **kwargs)
+    if check_id in _GRID_CHECKS:
+        return _GRID_CHECKS[check_id](resolution, **kwargs)
+    if check_id in _SEEDED_CHECKS:
+        return _SEEDED_CHECKS[check_id](resolution, seed, **kwargs)
     raise ValueError(f"unknown check_id: {check_id!r}")
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import warnings
 
 import numpy as np
@@ -321,6 +322,24 @@ def test_covers_accept_zero_scale():
     assert len(sequential_cover_greedy(rc, 0.0).elements) == 2
     assert sequential_cover_exact(rc, 0.0)[0] == 2
     assert empirical_entropy_lower(rc, 0.0) == pytest.approx(math.log(2))
+
+
+def test_exact_cover_stops_at_clique_size():
+    # depth 3, two contexts, 8 uniform experts drawn before each tree: the
+    # first of these draws ran the branch and bound for tens of seconds.
+    # Its degree-order clique (7) equals first fit, so the search ends at
+    # its first leaf; an index-order clique (3) would not end it.
+    rng = np.random.default_rng(7)
+    ec = ExpertClass(contexts=[0, 1], experts=rng.uniform(size=(8, 2)))
+    nodes = rng.integers(0, 2, size=7).astype(object)
+    rc = restrict(ec, BinaryTree(3, values=nodes))
+    masks = _demand_conflicts(rc.value_matrix(), 3, 0.1)
+    assert cover_mod._clique_size(masks) == 7
+    start = time.perf_counter()
+    size, cov = sequential_cover_exact(rc, 0.1)
+    assert time.perf_counter() - start < 1.0
+    assert size == len(cov.elements) == 7
+    assert cover_verify(rc, cov)
 
 
 def test_exact_guard():

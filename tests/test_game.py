@@ -1,9 +1,11 @@
 import itertools
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
+from logloss_lab import game as game_mod
 from logloss_lab.core import (
     BinaryTree,
     ExpertClass,
@@ -410,6 +412,56 @@ def test_one_table_per_game():
         assert g._table is table
 
 
+def test_count_layouts_are_shared_read_only_and_exact(monkeypatch):
+    rng = np.random.default_rng(41)
+    for k in (1, 2, 3):
+        for n in range(1, 10):
+            ec = ExpertClass(
+                contexts=list(range(k)),
+                experts=_with_exact_zeros_and_ones(rng, (3, k)),
+            )
+            first = GameInstance(n, ec)._table
+            shared = GameInstance(n, ec)._table
+            assert shared.children is first.children
+            assert shared.leaves is first.leaves
+            for a in (*shared.children, shared.leaves):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    a.flat[0] = 0
+            with monkeypatch.context() as m:
+                m.setattr(game_mod, "_layout", game_mod._count_levels)
+                fresh = GameInstance(n, ec)._table
+            assert fresh.children is not shared.children
+            assert all(
+                np.array_equal(a, b) for a, b in zip(fresh.children, shared.children)
+            )
+            assert np.array_equal(fresh.leaves, shared.leaves)
+            assert fresh.states == shared.states
+            for a, b in zip(fresh.values, shared.values):
+                assert np.array_equal(a, b, equal_nan=True)
+
+
+def test_layout_store_holds_at_most_state_guard(monkeypatch):
+    monkeypatch.setattr(game_mod, "_LAYOUTS", OrderedDict())
+    near = 3160  # one context: C(near + 2, 2) states, just under the guard
+    assert game_mod._layout_states(1, near) <= game_mod.STATE_GUARD
+    assert game_mod._layout_states(1, near + 1) > game_mod.STATE_GUARD
+    ec = ExpertClass.constants([0.3, 0.7])
+    assert exact_minimax(GameInstance(near, ec)) == pytest.approx(math.log(2))
+    assert list(game_mod._LAYOUTS) == [(1, near)]
+    for k in (1, 2, 3):
+        wide = ExpertClass(contexts=list(range(k)), experts=np.full((2, k), 0.5))
+        for n in range(1, 10):
+            exact_minimax(GameInstance(n, wide))
+            assert game_mod._stored_states() <= game_mod.STATE_GUARD
+    # the near-guard layout, least recently used, went first
+    assert (1, near) not in game_mod._LAYOUTS
+    assert len(game_mod._LAYOUTS) == 27
+    # a hit makes a layout the most recent
+    exact_minimax(GameInstance(1, ec))
+    assert next(reversed(game_mod._LAYOUTS)) == (1, 1)
+
+
 def _log_binom(n, j):
     return math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
 
@@ -695,10 +747,12 @@ def test_bayes_mixture_once_every_expert_is_ruled_out():
     assert regret == pytest.approx(ref_regret, abs=1e-12)
 
 
-def _random_dual_instance(rng, kind):
+def _random_dual_instance(rng, kind, exact_branches):
     """kind: k contexts under StaticContexts; "previous"; "subset", a rule
     offering 2 of 3 contexts, with one node set to the third; "missing", a
-    rule offering a context the class lacks."""
+    rule offering a context the class lacks.  With exact_branches, about
+    30% of the branch probabilities are exactly 0 or 1; without, the tree
+    is random_dual_strategy's uniform one, which has no zero branch."""
     n = int(rng.integers(1, 10))
     if kind == "previous":
         contexts = [
@@ -724,9 +778,10 @@ def _random_dual_instance(rng, kind):
         )
         g = GameInstance(horizon=n, expert_class=ec, availability=rule)
     s = random_dual_strategy(g, rng)
-    s.prob_tree.values[:] = _with_exact_zeros_and_ones(
-        rng, s.prob_tree.values.size
-    )
+    if exact_branches:
+        s.prob_tree.values[:] = _with_exact_zeros_and_ones(
+            rng, s.prob_tree.values.size
+        )
     if kind == "subset":
         s.context_tree.values[rng.integers(s.context_tree.values.size)] = 1
     return g, s
@@ -744,8 +799,8 @@ def _value_or_error(dual, g, s):
 def test_dual_value_matches_per_path_loop(kind):
     rng = np.random.default_rng(31)
     seen = set()
-    for _ in range(60):
-        g, s = _random_dual_instance(rng, kind)
+    for i in range(60):
+        g, s = _random_dual_instance(rng, kind, exact_branches=i % 2 == 0)
         got = _value_or_error(dual_value, g, s)
         ref = _value_or_error(reference_dual_value, g, s)
         seen.add(ref if isinstance(ref, type) else float)

@@ -620,3 +620,10 @@ def test_non_finite_resolution_is_rejected(bad):
         sup_psi(LAMBDA_STAR, resolution=bad)
     with pytest.raises(ValueError, match="resolution must be finite"):
         lambda_threshold_scan(bad)
+
+
+@pytest.mark.parametrize("check_id", CHECK_IDS)
+def test_run_check_rejects_unknown_keywords(check_id):
+    # a keyword the check does not take raises before any grid is built
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        run_check(check_id, resolution=1e-2, n_trees_typo=5)
