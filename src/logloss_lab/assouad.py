@@ -259,6 +259,8 @@ def scaling_experiment(
     if len(ns) < 2:
         raise ValueError("need at least two grid points")
     seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
     regrets = np.zeros((len(ns), len(seeds)))
     epsilons = []
     for i, n in enumerate(ns):

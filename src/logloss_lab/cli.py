@@ -86,6 +86,8 @@ def _parse_n_grid(text: str):
     m = re.fullmatch(r"2\^(\d+)\.\.2\^(\d+)", text)
     if m:
         a, b = int(m.group(1)), int(m.group(2))
+        if a > b:
+            raise ValueError(f"n grid {text!r} is empty")
         return [2**k for k in range(a, b + 1)]
     try:
         return [int(tok) for tok in text.split(",")]
@@ -274,6 +276,8 @@ def _cmd_cover(args):
 def _cmd_bounds(args):
     H = _parse_entropy(args.entropy)
     ns = _parse_n_grid(args.n_grid)
+    if args.fit and len(set(ns)) < 2:
+        raise ValueError("--fit needs at least two distinct horizons")
     rows = []
     for n in ns:
         sc, _ = bounds_mod.self_concordance_bound(H, n)
@@ -424,8 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_bounds)
 
     sp = sub.add_parser("verify", help="inequality certification checks")
-    sp.add_argument("--all", action="store_true")
-    sp.add_argument("--checks", default=None, help="comma-separated ids")
+    which = sp.add_mutually_exclusive_group()
+    which.add_argument("--all", action="store_true")
+    which.add_argument("--checks", default=None, help="comma-separated ids")
     sp.add_argument("--resolution", type=float, default=1e-3)
     sp.add_argument("--seed", type=int, default=0)
     _add_common(sp)

@@ -80,6 +80,11 @@ class BinaryTree:
     def node_index(t: int, prefix: int) -> int:
         return (1 << (t - 1)) - 1 + prefix
 
+    @staticmethod
+    def level_slice(t: int) -> slice:
+        """Flat node indices of round t, in prefix order."""
+        return slice((1 << (t - 1)) - 1, (1 << t) - 1)
+
     def get(self, t: int, prefix: int):
         self._check(t, prefix)
         return self.values[self.node_index(t, prefix)]
@@ -103,7 +108,7 @@ class BinaryTree:
         """
         if not 1 <= t <= self.depth:
             raise IndexError("round out of range")
-        return self.values[(1 << (t - 1)) - 1 : (1 << t) - 1]
+        return self.values[self.level_slice(t)]
 
     def copy(self) -> "BinaryTree":
         return BinaryTree(self.depth, values=self.values)
@@ -208,9 +213,9 @@ def _maybe_scalar(out, *inputs):
     return out
 
 
-# Most broadcast elements an array kernel evaluates at once.  A larger call
-# runs its expression block by block into one output array, so that its
-# temporaries stay cache-sized and are not as large as the whole grid.
+# One block size and one cutter (_block_values) for all grid-sized work: the
+# array kernels write the blocks into one output array, verify's grid checks
+# reduce them as they come, and cover.cover_verify steps its paths by _BLOCK.
 _BLOCK = 1 << 15
 
 
@@ -237,6 +242,17 @@ def _part(x, block):
     )]
 
 
+def _block_values(expr, *arrays):
+    """expr over each C-order block of at most _BLOCK elements of the arrays'
+    broadcast shape, on broadcast views; laid end to end, the blocks of an
+    element-by-element expr are expr(*arrays) in flat order."""
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    rank = len(shape)
+    arrays = [a.reshape((1,) * (rank - a.ndim) + a.shape) for a in arrays]
+    for block in _blocks(shape):
+        yield expr(*(_part(a, block) for a in arrays))
+
+
 def _elementwise(expr, *arrays):
     """expr(*arrays) for an element-by-element expr of float arrays that
     broadcast together, evaluated one block at a time when the broadcast
@@ -254,11 +270,10 @@ def _elementwise(expr, *arrays):
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
     if math.prod(shape) <= _BLOCK:
         return expr(*arrays)
-    rank = len(shape)
-    arrays = [a.reshape((1,) * (rank - a.ndim) + a.shape) for a in arrays]
-    out = np.empty(shape)
-    for block in _blocks(shape):
-        out[block] = expr(*(_part(a, block) for a in arrays))
+    out, blocks = np.empty(shape), _blocks(shape)
+    for value in _block_values(expr, *arrays):
+        out[next(blocks)] = value
+        del value  # so that one block's values are alive at a time
     return out
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import BinaryTree, ExpertClass, path_node_indices
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
 ]
 
 _TOL = 1e-12
-_BLOCK = 1 << 20  # array elements per block of paths in cover_verify
 
 
 @dataclass
@@ -101,7 +101,7 @@ def cover_verify(rc: RestrictedClass, V: SequentialCover) -> bool:
     idx = _distinct_paths(rc.depth)
     g = rc.value_matrix()
     v = np.stack([e.values.astype(float) for e in V.elements])
-    step = max(1, _BLOCK // (len(g) * len(v) * rc.depth))
+    step = max(1, core._BLOCK // (len(g) * len(v) * rc.depth))
     for start in range(0, len(idx), step):
         rows = idx[start:start + step]
         dist = np.abs(g[:, None, rows] - v[None, :, rows]).max(axis=3)

@@ -415,7 +415,7 @@ def _check_reached(g: GameInstance, context_tree: BinaryTree, columns, open_bran
         return
     reached, histories = np.ones(1, dtype=bool), [()]
     for t in range(1, g.horizon + 1):
-        level = slice((1 << (t - 1)) - 1, (1 << t) - 1)
+        level = BinaryTree.level_slice(t)
         xs, cols = context_tree.level(t), columns[level]
         for q in np.flatnonzero(reached & (cols < 0) if static else reached):
             if (cols[q] == -2 if static
@@ -461,7 +461,7 @@ def dual_value(g: GameInstance, s: DualStrategy) -> float:
     masked = not open_branch.all()
     reached = np.ones(1, dtype=bool)
     for t in range(1, n + 1):
-        level = slice((1 << (t - 1)) - 1, (1 << t) - 1)
+        level = BinaryTree.level_slice(t)
         prob = (prob * branch[:, level]).ravel()
         player = (player + losses[:, level]).ravel()
         experts = (experts - lik[:, level]).reshape(-1, ec.n_experts)

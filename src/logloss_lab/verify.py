@@ -6,11 +6,13 @@ reports the worst signed slack, where slack = bound minus quantity, so
 negative means a violation.  Nothing here is a proof; the grids are
 dense enough to catch any implementation drift in the closed forms.
 
-The grid checks, `sup_psi` and `lambda_threshold_scan` compute their
-slack a block of grid rows at a time, each block at most `core._BLOCK`
-elements, and reduce the blocks in the grid's flat order with
-np.argmin's rule (the first NaN, otherwise the first minimum); the worst
-point is read off the grid axes, and no grid-sized array is built.
+The grid checks, `sup_psi` and `lambda_threshold_scan` each state their
+slack once, as an expression over broadcast grid axes; terms that depend
+on one axis are computed once, as axis-shaped operands.  `core`'s one
+block cutter (`_block_values`, blocks of at most `core._BLOCK` elements)
+evaluates the slack, and the blocks are reduced in the grid's flat order
+with np.argmin's rule (the first NaN, otherwise the first minimum); the
+worst point is read off the grid axes, and no grid-sized array is built.
 PHI_LIPSCHITZ certifies all m^2 pairs of its grid in O(m) by a
 running-maximum reduction.  ETA_IDENTITY and ESTIMATION carry path
 weights and score sums down the tree level by level.
@@ -24,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    _BLOCK,
     ESTIMATION_CONSTANT,
+    BinaryTree,
+    _block_values,
     eta,
     kl_bernoulli,
     log_loss,
@@ -73,13 +76,6 @@ class CheckReport:
     tolerance: float
     passed: bool
     points: int = 0
-
-
-def _row_blocks(n_rows, width):
-    """Slices that cover range(n_rows) in order, each of as many rows of
-    `width` elements as fit in _BLOCK, and at least one."""
-    step = max(1, _BLOCK // max(width, 1))
-    return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
 def _first_min(blocks):
@@ -161,23 +157,16 @@ def _check_phi_lipschitz(resolution):
 
 
 def _check_sc_pointwise(resolution):
-    p = _interior_grid(resolution)
-    f = _interior_grid(resolution)
-
-    def slack():
-        for y in (0, 1):
-            lf = log_loss(f, y)[None, :]
-            for rows in _row_blocks(p.size, f.size):
-                pr = p[rows]
-                lp = log_loss(pr, y)[:, None]
-                z = eta(pr, y)[:, None] * (pr[:, None] - f[None, :])
-                yield phi(z) - (lp - lf)
-
+    grid = _interior_grid(resolution)
+    p, f, y = grid[None, :, None], grid[None, None, :], _Y[:, None, None]
     return _report(
         "SC_POINTWISE",
         f"p,f in [{_EDGE:g},1-{_EDGE:g}] step {resolution:g}, y in {{0,1}}",
-        slack(),
-        (p[None, :, None], f[None, None, :], _Y[:, None, None]),
+        _block_values(
+            lambda p, f, e, lp, lf: phi(e * (p - f)) - (lp - lf),
+            p, f, eta(p, y), log_loss(p, y), log_loss(f, y),
+        ),
+        (p, f, y),
         1e-9,
     )
 
@@ -195,8 +184,7 @@ def _check_sc_edge(resolution):
         return _report(
             "SC_EDGE",
             f"f in [0,1] step {resolution:g}, both boundary branches",
-            (branch(f[rows]) for branch in branches
-             for rows in _row_blocks(m, 1)),
+            (v for branch in branches for v in _block_values(branch, f)),
             (f[None, :], np.array([[1.0], [0.0]])),
             1e-9,
         )
@@ -205,26 +193,20 @@ def _check_sc_edge(resolution):
 def _check_nesterov(resolution):
     """F(t) >= F(s) + F'(s)(t - s) + omega(sqrt(F''(s)) |t - s|) for the
     scalar log loss F(p) = loss(p, y)."""
-    s = _interior_grid(resolution)
-    t = _interior_grid(resolution)
+    grid = _interior_grid(resolution)
+    s, t, y = grid[None, :, None], grid[None, None, :], _Y[:, None, None]
+    root = np.sqrt(np.where(y == 1, 1.0 / s**2, 1.0 / (1.0 - s) ** 2))
 
-    def slack():
-        for y in (0, 1):
-            ft = log_loss(t, y)[None, :]
-            for rows in _row_blocks(s.size, t.size):
-                sr = s[rows]
-                d = t[None, :] - sr[:, None]
-                fs = log_loss(sr, y)[:, None]
-                grad = eta(sr, y)[:, None]
-                hess = np.where(y == 1, 1.0 / sr**2, 1.0 / (1.0 - sr) ** 2)
-                yield (ft - fs - grad * d
-                       - omega(np.sqrt(hess[:, None]) * np.abs(d)))
+    def slack(s, t, fs, ft, grad, root):
+        d = t - s
+        return ft - fs - grad * d - omega(root * np.abs(d))
 
     return _report(
         "NESTEROV",
         f"s,t in [{_EDGE:g},1-{_EDGE:g}] step {resolution:g}, y in {{0,1}}",
-        slack(),
-        (s[None, :, None], t[None, None, :], _Y[:, None, None]),
+        _block_values(slack, s, t, log_loss(s, y), log_loss(t, y), eta(s, y),
+                      root),
+        (s, t, y),
         1e-9,
     )
 
@@ -249,8 +231,8 @@ def _check_self_concordant(resolution):
         "SELF_CONCORDANT",
         f"s in [{_EDGE:g},1-{_EDGE:g}] step {resolution:g}, y in {{0,1}}; "
         "relative slack",
-        (_self_concordant_slack(s[rows], y) for y in (0, 1)
-         for rows in _row_blocks(s.size, 1)),
+        (v for y in (0, 1)
+         for v in _block_values(lambda s, y=y: _self_concordant_slack(s, y), s)),
         (s[None, :], _Y[:, None]),
         1e-9,
     )
@@ -269,37 +251,34 @@ def _half_axis(check_id, resolution):
 
 def _check_clipping(resolution):
     m = int(math.floor(1.0 / resolution)) + 1
-    p = np.linspace(0.0, 1.0, m)
-    d = _half_axis("CLIPPING", resolution)
-
-    def slack(pr, y):
-        clipped = np.clip(pr[:, None], d[None, :], 1.0 - d[None, :])
-        return log_loss(pr, y)[:, None] + 2.0 * d[None, :] - log_loss(clipped, y)
-
+    p = np.linspace(0.0, 1.0, m)[None, :, None]
+    d = _half_axis("CLIPPING", resolution)[None, None, :]
+    y = _Y[:, None, None]
     return _report(
         "CLIPPING",
         f"p in [0,1], delta in ({resolution:g},0.5] step {resolution:g}, "
         "y in {0,1}",
-        (slack(p[rows], y) for y in (0, 1) for rows in _row_blocks(m, d.size)),
-        (p[None, :, None], d[None, None, :], _Y[:, None, None]),
+        _block_values(
+            lambda p, d, y, lp: lp + 2.0 * d - log_loss(np.clip(p, d, 1.0 - d), y),
+            p, d, y, log_loss(p, y),
+        ),
+        (p, d, y),
         1e-9,
     )
 
 
 def _check_kl_eps(resolution):
-    eps = _half_axis("KL_EPS", resolution)
-    mq = int(math.floor(1.0 / resolution)) + 1
-    qq = np.linspace(0.0, 1.0, mq)[None, :]
-
-    def slack(e):
-        rhs = (e / 4.0) * (qq >= 2.0 * e) + (e / 6.0) * (qq <= e / 2.0)
-        return kl_bernoulli(e, qq) - rhs
-
+    e = _half_axis("KL_EPS", resolution)[:, None]
+    q = np.linspace(0.0, 1.0, int(math.floor(1.0 / resolution)) + 1)[None, :]
     return _report(
         "KL_EPS",
         f"eps in ({resolution:g},0.5], q in [0,1], step {resolution:g}",
-        (slack(eps[rows, None]) for rows in _row_blocks(eps.size, mq)),
-        (eps[:, None], qq),
+        _block_values(
+            lambda e, q: kl_bernoulli(e, q)
+            - ((e / 4.0) * (q >= 2.0 * e) + (e / 6.0) * (q <= e / 2.0)),
+            e, q,
+        ),
+        (e, q),
         1e-9,
     )
 
@@ -323,7 +302,7 @@ def _levels(pvals, n):
     """
     w = np.ones(pvals.shape[:-1] + (1,))
     for t in range(1, n + 1):
-        nodes = slice((1 << (t - 1)) - 1, (1 << t) - 1)
+        nodes = BinaryTree.level_slice(t)
         p = pvals[..., nodes]
         w = np.concatenate((w, w), axis=-1) * np.concatenate((1.0 - p, p), axis=-1)
         yield nodes, w, np.concatenate((1.0 / (1.0 - p), -1.0 / p), axis=-1)
@@ -443,10 +422,9 @@ def sup_psi(lam: float, resolution: float = 1e-3):
     u = np.linspace(0.0, 1.0, m)
     # v = p - 1 + u spans [p-1, p]; the first maximum is the first minimum
     # of -psi, NaN first as for np.argmax
-    k, low, _ = _first_min(
-        -psi(p[rows, None], lam, p[rows, None] - 1.0 + u[None, :])
-        for rows in _row_blocks(m, m)
-    )
+    k, low, _ = _first_min(_block_values(
+        lambda p, u: -psi(p, lam, p - 1.0 + u), p[:, None], u[None, :]
+    ))
     top = -low
     i, j = divmod(k, m)
     p_best = float(p[i])
@@ -500,9 +478,8 @@ def lambda_threshold_scan(resolution: float = 1e-3) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
         for ratio, start, span in cases:
             ok = span > 0
-            pk, start, span = p[ok, None], start[ok, None], span[ok, None]
-            blocks = (ratio(pk[rows], start[rows] + u * span[rows])
-                      for rows in _row_blocks(len(pk), m))
+            blocks = _block_values(lambda p, a, s, u: ratio(p, a + u * s),
+                                   p[ok, None], start[ok, None], span[ok, None], u)
             low = _first_min(np.where(np.isnan(r), np.inf, r) for r in blocks)
             best = min(best, low[1])
     return best

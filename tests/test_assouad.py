@@ -150,6 +150,8 @@ def test_scaling_experiment_small():
         scaling_experiment(1.5, [64, 128], SignClassBayes, range(3))
     with pytest.raises(ValueError):
         scaling_experiment(1.0, [64], SignClassBayes, range(3))
+    with pytest.raises(ValueError, match="at least one seed"):
+        scaling_experiment(1.0, [64, 128], SignClassBayes, [])
 
 
 def test_scaling_experiment_deterministic():

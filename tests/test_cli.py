@@ -28,6 +28,23 @@ def test_parse_n_grid():
     assert _parse_n_grid("10,20,30") == [10, 20, 30]
     with pytest.raises(ValueError):
         _parse_n_grid("abc")
+    assert _parse_n_grid("2^3..2^3") == [8]
+    with pytest.raises(ValueError, match="empty"):
+        _parse_n_grid("2^5..2^3")
+
+
+def test_bounds_grid_errors_exit_2(capsys):
+    # an empty grid is a usage error with or without --fit, and a fit needs
+    # two distinct horizons
+    for extra in ([], ["--fit"]):
+        assert main(["bounds", "--entropy", "pow:p=2",
+                     "--n-grid", "2^5..2^3", *extra]) == 2
+        assert "is empty" in capsys.readouterr().err
+    for grid in ("2^3..2^3", "8,8"):
+        assert main(["bounds", "--entropy", "pow:p=2",
+                     "--n-grid", grid, "--fit"]) == 2
+        assert "two distinct horizons" in capsys.readouterr().err
+    assert main(["bounds", "--entropy", "pow:p=2", "--n-grid", "2^3..2^3"]) == 0
 
 
 def test_parse_entropy():
@@ -112,6 +129,12 @@ def test_verify_json_report(tmp_path):
         "pass", "points",
     }
     assert report["checks"][0]["points"] == 2 * 1001  # two branches, step 1e-3
+
+
+def test_verify_all_and_checks_exclude_each_other(capsys):
+    assert main(["verify", "--all", "--checks", "SC_EDGE",
+                 "--resolution", "1e-2"]) == 2
+    assert "not allowed with argument --all" in capsys.readouterr().err
 
 
 def test_verify_all_default_resolution(tmp_path):
@@ -272,6 +295,13 @@ def test_assouad_scaling_csv(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "p,n,epsilon,seed,regret"
     assert len(lines) == 1 + 2 * 3
+
+
+def test_assouad_scaling_without_seeds_exits_2(capsys):
+    for n_seeds in ("0", "-1"):
+        assert main(["assouad", "--scaling", "--p", "1", "--n-grid", "64,128",
+                     "--n-seeds", n_seeds]) == 2
+        assert "at least one seed" in capsys.readouterr().err
 
 
 def test_config_error_exit_code(tmp_path):

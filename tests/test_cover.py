@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from logloss_lab import core as core_mod
 from logloss_lab import cover as cover_mod
 from logloss_lab.core import BinaryTree, ExpertClass, path_node_indices
 from logloss_lab.cover import (
@@ -287,7 +288,7 @@ def test_covers_match_reference_search():
 
 def test_verify_in_blocks_and_deep_greedy_match_reference(monkeypatch):
     # one path per block of cover_verify
-    monkeypatch.setattr(cover_mod, "_BLOCK", 1)
+    monkeypatch.setattr(core_mod, "_BLOCK", 1)
     rng = np.random.default_rng(13)
     for gamma in (0.0, 0.1, 0.25):
         rc = _random_class(rng, 3, 2, 6)

@@ -459,7 +459,6 @@ def _one_call(monkeypatch, fn, *args, **kwargs):
 
 
 def _small_blocks(monkeypatch, block):
-    monkeypatch.setattr(verify_mod, "_BLOCK", block)
     monkeypatch.setattr(core_mod, "_BLOCK", block)
 
 
@@ -543,8 +542,8 @@ def _ref_sup_psi(lam, res):
 @pytest.mark.parametrize("lam", [LAMBDA_STAR, 0.1, 1.0])
 @pytest.mark.parametrize("block", [None, 7])
 def test_sup_psi_matches_full_grid(lam, block, monkeypatch):
-    # at lambda* the grid maximum 1.0 is reached on 82 rows, one block each
-    # with block 7, so the first row must win, as with np.argmax
+    # at lambda* the grid maximum 1.0 is reached on 82 rows, cut into blocks
+    # of 7 elements, so the first must win, as with np.argmax
     want = _one_call(monkeypatch, _ref_sup_psi, lam, 1e-2)
     if block is not None:
         _small_blocks(monkeypatch, block)
@@ -584,8 +583,8 @@ def test_first_min_follows_argmin_across_blocks():
 
 @pytest.mark.parametrize("bad", ["nan", "-inf", "nan after -inf"])
 def test_non_finite_slack_in_a_late_block(bad, monkeypatch):
-    # z > 1e5 only on the last p row of the y = 0 half (block 98 of 198 with
-    # one row a block); z < -0.99 on early rows of that half
+    # z > 1e5 only on the last p row of the y = 0 half (blocks 1485-1499 of
+    # 3000 with blocks of 7 elements); z < -0.99 on early rows of that half
     def fake_phi(z):
         late = np.nan if bad.startswith("nan") else -np.inf
         out = np.where(z > 1e5, late, phi(z))
