@@ -256,8 +256,10 @@ def scaling_experiment(
     if abs(dim - p) > 1e-12 or dim < 1:
         raise ValueError("the experiment needs an integer dimension p")
     ns = [int(n) for n in n_grid]
-    if len(ns) < 2:
-        raise ValueError("need at least two grid points")
+    if len(set(ns)) < 2:
+        raise ValueError("need at least two distinct horizons")
+    if min(ns) < 1:
+        raise ValueError(f"horizons must be >= 1, got {min(ns)}")
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")

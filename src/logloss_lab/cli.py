@@ -306,7 +306,7 @@ def _cmd_bounds(args):
 
 
 def _cmd_verify(args):
-    if args.all or not args.checks:
+    if args.all or args.checks is None:
         check_ids = list(verify_mod.CHECK_IDS)
     else:
         check_ids = args.checks.split(",")

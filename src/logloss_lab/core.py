@@ -146,7 +146,10 @@ class ExpertClass:
             raise ValueError("each expert must be defined on every context")
         if np.any((self.experts < 0) | (self.experts > 1)):
             raise ValueError("expert values must lie in [0, 1]")
-        self._index = {c: i for i, c in enumerate(self.contexts)}
+        try:
+            self._index = {c: i for i, c in enumerate(self.contexts)}
+        except TypeError:
+            raise ValueError("context ids must be hashable") from None
         if len(self._index) != len(self.contexts):
             raise ValueError("duplicate context ids")
         self.experts.flags.writeable = False

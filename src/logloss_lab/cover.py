@@ -501,13 +501,15 @@ def entropy_curve_estimate(
     distinct lattice walks, each its own radius-gamma cover cell.  The
     lower bound is the log of the number of walks on the even sublattice,
     a packing: two differ by 4 gamma > 2 gamma at some grid point.  Both
-    are exact counts.  A gamma that is not finite and positive, or past
-    CELL_GUARD (gamma below about 2^-11.5), raises ValueError.
+    are exact counts.  A gamma that is not finite and positive, repeated,
+    or past CELL_GUARD (gamma below about 2^-11.5), raises ValueError.
 
     curve.slope is the fitted log-log slope against 1/gamma; curve.counts
     lists {"gamma", "functions", "packing"} per scale.
     """
     gammas = sorted(float(g) for g in gammas)
+    if len(set(gammas)) < len(gammas):
+        raise ValueError(f"each gamma must appear once, got {gammas}")
     lowers, uppers, counts = [], [], []
     for g in gammas:
         if not (math.isfinite(g) and g > 0):

@@ -12,9 +12,9 @@ mixture's `worst_case_search` read: over count states under `StaticContexts`
 (how often each (context, outcome) pair occurred: C(t + 2k - 1, 2k - 1) at
 depth t, not (2k)^t histories), over histories under any other rule.
 STATE_GUARD bounds both; `worst_case_search` states the tie rule.  The
-count states' layout depends only on (k, n), so games of one shape share
-one read-only layout from a small store, which holds at most STATE_GUARD
-states and drops the least recently used layout first.
+count states' layout depends only on (k, n) and is read-only.  Games of a
+small shape share theirs from a bounded cache, which never holds more than
+STATE_GUARD states; a larger layout belongs to its game.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,11 +166,12 @@ def _count_levels(k: int, n: int):
     """Every count state of depth 0..n over the 2k cells (context i,
     outcome y), cell 2i + y.
 
-    Returns (children, leaves): children[t][s, i, y] is the index at depth
-    t + 1 of state s of depth t with one more (i, y); leaves holds the
-    depth-n count vectors.  A depth-t state is ranked by its stars-and-bars
-    bar positions b_j = c_0 + ... + c_j + j, j < 2k - 1, whose colex rank
-    sum_j C(b_j, j + 1) runs over 0..C(t + 2k - 1, 2k - 1) - 1.
+    Returns (children, leaves), read-only: children[t][s, i, y] is the
+    index at depth t + 1 of state s of depth t with one more (i, y); leaves
+    holds the depth-n count vectors.  A depth-t state is ranked by its
+    stars-and-bars bar positions b_j = c_0 + ... + c_j + j, j < 2k - 1,
+    whose colex rank sum_j C(b_j, j + 1) runs over
+    0..C(t + 2k - 1, 2k - 1) - 1.
     """
     m = 2 * k
     if math.comb(n + m, m) > STATE_GUARD:
@@ -194,35 +194,22 @@ def _count_levels(k: int, n: int):
         states = np.empty((math.comb(t + m - 1, m - 1), m), dtype=np.int64)
         states[child.ravel()] = grown.reshape(-1, m)
         children.append(child.reshape(-1, k, 2))
-    return children, states
+    for a in (*children, states):
+        a.flags.writeable = False
+    return tuple(children), states
 
 
-_LAYOUTS = OrderedDict()  # (k, n) -> (children, leaves), most recent last
+_SHARED = 32  # shapes the layout cache holds
+_shared_levels = functools.lru_cache(maxsize=_SHARED)(_count_levels)
 
 
 def _layout(k: int, n: int):
-    """`_count_levels(k, n)`, read-only and shared by every game of that
-    shape.  The stored layouts hold at most STATE_GUARD states in all (a
-    layout holds C(n + 2k, 2k)); the least recently used goes first."""
-    key = k, n
-    if key in _LAYOUTS:
-        _LAYOUTS.move_to_end(key)
-        return _LAYOUTS[key]
-    children, leaves = _count_levels(k, n)
-    for a in (*children, leaves):
-        a.flags.writeable = False
-    while _LAYOUTS and _stored_states() + _layout_states(k, n) > STATE_GUARD:
-        _LAYOUTS.popitem(last=False)
-    _LAYOUTS[key] = layout = tuple(children), leaves
-    return layout
-
-
-def _layout_states(k: int, n: int) -> int:
-    return math.comb(n + 2 * k, 2 * k)
-
-
-def _stored_states() -> int:
-    return sum(_layout_states(k, n) for k, n in _LAYOUTS)
+    """`_count_levels(k, n)`, shared by every game of that shape when it
+    holds at most STATE_GUARD // _SHARED states (a layout holds
+    C(n + 2k, 2k)), so the cache never holds more than STATE_GUARD."""
+    if math.comb(n + 2 * k, 2 * k) <= STATE_GUARD // _SHARED:
+        return _shared_levels(k, n)
+    return _count_levels(k, n)
 
 
 class _Table:

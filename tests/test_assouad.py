@@ -148,8 +148,11 @@ def test_scaling_experiment_small():
     assert list(res.medians) == sorted(res.medians)
     with pytest.raises(ValueError):
         scaling_experiment(1.5, [64, 128], SignClassBayes, range(3))
-    with pytest.raises(ValueError):
-        scaling_experiment(1.0, [64], SignClassBayes, range(3))
+    for grid in ([64], [64, 64]):
+        with pytest.raises(ValueError, match="two distinct horizons"):
+            scaling_experiment(1.0, grid, SignClassBayes, range(3))
+    with pytest.raises(ValueError, match="horizons must be >= 1"):
+        scaling_experiment(1.0, [0, 64], SignClassBayes, range(3))
     with pytest.raises(ValueError, match="at least one seed"):
         scaling_experiment(1.0, [64, 128], SignClassBayes, [])
 

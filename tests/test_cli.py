@@ -277,6 +277,8 @@ def test_cover_input_errors_exit_2(capsys):
     assert "finite and positive" in capsys.readouterr().err
     assert main(["cover", "--gammas", "1e-300"]) == 2
     assert "CELL_GUARD" in capsys.readouterr().err
+    assert main(["cover", "--gammas", "0.25,0.25"]) == 2
+    assert "each gamma must appear once" in capsys.readouterr().err
 
 
 def test_assouad_subcommand(tmp_path):
@@ -302,6 +304,14 @@ def test_assouad_scaling_without_seeds_exits_2(capsys):
         assert main(["assouad", "--scaling", "--p", "1", "--n-grid", "64,128",
                      "--n-seeds", n_seeds]) == 2
         assert "at least one seed" in capsys.readouterr().err
+
+
+def test_assouad_scaling_grid_errors_exit_2(capsys):
+    for grid, msg in (("64,64", "two distinct horizons"),
+                      ("0,64", "horizons must be >= 1")):
+        assert main(["assouad", "--scaling", "--p", "1", "--n-grid", grid,
+                     "--n-seeds", "1"]) == 2
+        assert msg in capsys.readouterr().err
 
 
 def test_config_error_exit_code(tmp_path):
@@ -331,6 +341,15 @@ def test_unknown_class_file_keys(tmp_path):
     path.write_text(json.dumps({"contexts": [0], "experts": [[0.5]],
                                 "extra": 1}))
     assert main(["minimax", "--class", str(path), "--n", "2"]) == 2
+
+
+def test_list_context_ids_exit_2(tmp_path, capsys):
+    path = tmp_path / "list_contexts.json"
+    path.write_text(json.dumps({"contexts": [[0], [1]],
+                                "experts": [[0.2, 0.7]]}))
+    for cmd in ("minimax", "dual"):
+        assert main([cmd, "--class", str(path), "--n", "2"]) == 2
+        assert "context ids must be hashable" in capsys.readouterr().err
 
 
 def test_flags_belong_to_their_subcommands(class_file, capsys):
@@ -372,6 +391,9 @@ def test_exit_code_configuration_errors(capsys):
     assert main(["verify", "--checks", "all"]) == 2
     assert main(["verify", "--checks", "SC_EDGE,NO_SUCH_CHECK"]) == 2
     assert "unknown check_id" in capsys.readouterr().err
+    for empty in ("--checks=", "--checks=,"):
+        assert main(["verify", empty, "--resolution", "0.1"]) == 2
+        assert "unknown check_id: ''" in capsys.readouterr().err
     assert main(["verify", "--checks", "CLIPPING", "--resolution", "0.6"]) == 2
     assert "CLIPPING: resolution 0.6" in capsys.readouterr().err
     for bad in ("inf", "nan"):

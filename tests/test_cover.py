@@ -599,3 +599,7 @@ def test_entropy_curve_rejects_bad_scales():
     for gamma in (2.0**-12, 1e-300, 5e-324):
         with pytest.raises(ValueError, match="CELL_GUARD"):
             entropy_curve_estimate(fam, [gamma], n=0)
+    # a repeated scale would fit the slope over one scale
+    for gammas in ([0.25, 0.25], [0.125, 0.25, 0.125]):
+        with pytest.raises(ValueError, match="each gamma must appear once"):
+            entropy_curve_estimate(fam, gammas, n=0)

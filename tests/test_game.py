@@ -1,6 +1,5 @@
 import itertools
 import math
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -442,24 +441,42 @@ def test_count_layouts_are_shared_read_only_and_exact(monkeypatch):
 
 
 def test_layout_store_holds_at_most_state_guard(monkeypatch):
-    monkeypatch.setattr(game_mod, "_LAYOUTS", OrderedDict())
-    near = 3160  # one context: C(near + 2, 2) states, just under the guard
-    assert game_mod._layout_states(1, near) <= game_mod.STATE_GUARD
-    assert game_mod._layout_states(1, near + 1) > game_mod.STATE_GUARD
-    ec = ExpertClass.constants([0.3, 0.7])
-    assert exact_minimax(GameInstance(near, ec)) == pytest.approx(math.log(2))
-    assert list(game_mod._LAYOUTS) == [(1, near)]
-    for k in (1, 2, 3):
-        wide = ExpertClass(contexts=list(range(k)), experts=np.full((2, k), 0.5))
-        for n in range(1, 10):
-            exact_minimax(GameInstance(n, wide))
-            assert game_mod._stored_states() <= game_mod.STATE_GUARD
-    # the near-guard layout, least recently used, went first
-    assert (1, near) not in game_mod._LAYOUTS
-    assert len(game_mod._LAYOUTS) == 27
-    # a hit makes a layout the most recent
-    exact_minimax(GameInstance(1, ec))
-    assert next(reversed(game_mod._LAYOUTS)) == (1, 1)
+    # every shape the games benchmark builds is shared at the real guard
+    for k, n in [(1, n) for n in range(5, 13)] + [(2, 5), (2, 6), (2, 7)]:
+        assert game_mod._layout(k, n) is game_mod._layout(k, n)
+    cache, size = game_mod._shared_levels, game_mod._SHARED
+    monkeypatch.setattr(game_mod, "STATE_GUARD", 1000 * size)
+    cache.cache_clear()
+    try:
+        # one context: C(n + 2, 2) states, 990 at n = 43 and 1035 at n = 44
+        ec = ExpertClass.constants([0.3, 0.7])
+        small = GameInstance(43, ec)._table, GameInstance(43, ec)._table
+        assert small[0].children is small[1].children
+        large = GameInstance(44, ec)._table, GameInstance(44, ec)._table
+        assert large[0].children is not large[1].children
+        assert large[0].leaves is not large[1].leaves
+        for a in (*large[0].children, large[0].leaves):
+            assert not a.flags.writeable
+        assert cache.cache_info().currsize == 1
+        shapes = [(1, n) for n in range(1, 44)]
+        for k, n in shapes:
+            game_mod._layout(k, n)
+            assert cache.cache_info().currsize <= size
+        # the cache holds the last `size` shapes: each is a hit, and a hit
+        # evicts nothing
+        held = shapes[-size:]
+        hits = cache.cache_info().hits
+        for k, n in reversed(held):
+            game_mod._layout(k, n)
+        assert cache.cache_info().hits == hits + size
+        states = sum(math.comb(n + 2 * k, 2 * k) for k, n in held)
+        assert states <= game_mod.STATE_GUARD
+        # the least recently used shape went first
+        misses = cache.cache_info().misses
+        game_mod._layout(*shapes[-size - 1])
+        assert cache.cache_info().misses == misses + 1
+    finally:
+        cache.cache_clear()
 
 
 def _log_binom(n, j):

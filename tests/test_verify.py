@@ -551,8 +551,9 @@ def test_sup_psi_matches_full_grid(lam, block, monkeypatch):
 
 
 def test_lambda_scan_in_small_blocks(monkeypatch):
+    # the scan's rows are 1000 wide, so 999-element blocks cut inside each
     want = lambda_threshold_scan(1e-3)
-    _small_blocks(monkeypatch, 7)
+    _small_blocks(monkeypatch, 999)
     assert lambda_threshold_scan(1e-3) == want
 
 
