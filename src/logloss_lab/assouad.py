@@ -26,6 +26,7 @@ __all__ = [
     "SignClassBayes",
     "online_to_batch",
     "kl_risk",
+    "integer_dimension",
     "lower_bound_value",
     "ScalingResult",
     "scaling_experiment",
@@ -60,7 +61,7 @@ class BatchEstimator:
 
     def __post_init__(self):
         self.table = np.asarray(self.table, dtype=float)
-        if np.any((self.table < 0) | (self.table > 1)):
+        if not np.all((self.table >= 0) & (self.table <= 1)):
             raise ValueError("estimates must lie in [0, 1]")
 
 
@@ -204,12 +205,21 @@ def kl_risk(ac: AssouadClass, v, est: BatchEstimator) -> float:
     return float(np.mean(kl_bernoulli(means, est.table)))
 
 
+def integer_dimension(p: float) -> int:
+    """p as the cube's dimension: the construction tiles [0,1]^p, so p
+    must be a whole number of at least 1."""
+    dim = int(round(p)) if math.isfinite(p) else 0
+    if not (dim >= 1 and abs(dim - p) <= 1e-12):
+        raise ValueError(f"the experiment needs an integer dimension p, got {p!r}")
+    return dim
+
+
 def lower_bound_value(p: float, n: int):
     """The n^{p/(p+1)}/128 lower bound and the epsilon it uses."""
-    if n < 1:
+    if not n >= 1:
         raise ValueError("n must be >= 1")
-    if p <= 0:
-        raise ValueError("p must be positive")
+    if not (math.isfinite(p) and p > 0):
+        raise ValueError(f"p must be finite and positive, got {p!r}")
     eps = n ** (-1.0 / (p + 1.0)) / 8.0
     return n ** (p / (p + 1.0)) / 128.0, eps
 
@@ -252,9 +262,7 @@ def scaling_experiment(
     strategy_factory maps an AssouadClass to a fresh strategy, which must
     be a count rule (`ones`, `total` and a vectorised `mean(ones, total)`).
     """
-    dim = int(round(p))
-    if abs(dim - p) > 1e-12 or dim < 1:
-        raise ValueError("the experiment needs an integer dimension p")
+    dim = integer_dimension(p)
     ns = [int(n) for n in n_grid]
     if len(set(ns)) < 2:
         raise ValueError("need at least two distinct horizons")

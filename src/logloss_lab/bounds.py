@@ -313,8 +313,8 @@ def truncation_bound(H: EntropyCurve, n: int, seed: int = 0):
 
 def rate_exponents(p: float) -> RateReport:
     """Polynomial-in-n exponents of both bounds for entropy gamma^-p."""
-    if p <= 0:
-        raise ValueError("p must be positive")
+    if not (math.isfinite(p) and p > 0):
+        raise ValueError(f"p must be finite and positive, got {p!r}")
     new = p / (p + 1.0)
     if p <= 1.0:
         old = p / (p + 1.0)

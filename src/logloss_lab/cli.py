@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands wrap the library modules with deterministic seeding and
-machine-readable output (JSON or CSV, floats at 12 significant digits).
+machine-readable output (JSON or CSV, floats at 12 significant digits;
+JSON writes a NaN or infinite float as null, CSV as nan or inf).
 Exit codes: 0 success, 1 a verification check failed, 2 configuration
 or usage error, 3 internal error (any other exception); ``main`` returns
 the code rather than exiting.
@@ -33,19 +34,27 @@ def _fmt(x) -> str:
 
 
 def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(_fmt(obj))
+    if isinstance(obj, (float, np.floating)):
+        return float(_fmt(obj)) if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(_fmt(obj))
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return _round_floats(obj.tolist())
     return obj
+
+
+def _json(obj) -> str:
+    """`obj` as JSON text.  A float that _round_floats let through as NaN
+    or infinite is a defect, not bad input, so it raises RuntimeError."""
+    try:
+        return json.dumps(_round_floats(obj), indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise RuntimeError(f"report is not valid JSON: {exc}") from exc
 
 
 def _write_output(text: str, out):
@@ -67,10 +76,7 @@ def _emit(report: dict, rows, header, args):
                                   for c in row))
         _write_output("\n".join(lines) + "\n", args.out)
     else:
-        _write_output(
-            json.dumps(_round_floats(report), indent=2, sort_keys=True) + "\n",
-            args.out,
-        )
+        _write_output(_json(report), args.out)
 
 
 def load_expert_class(path) -> ExpertClass:
@@ -126,7 +132,10 @@ def _effective_config(args) -> dict:
 
 
 def _apply_config_file(parser, argv):
-    """Pull defaults from --config JSON before the real parse."""
+    """Pull defaults from --config JSON before the real parse.
+
+    The file's flags go right after the subcommand, so a flag also given on
+    the command line comes later and wins, by argparse's own rule."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, rest = pre.parse_known_args(argv)
@@ -144,30 +153,20 @@ def _apply_config_file(parser, argv):
         choices = parser._subparsers._group_actions[0].choices
         if argv[0] not in choices:
             raise ValueError(f"unknown subcommand: {argv[0]!r}")
-        flags = {}  # dest -> long option string
-        booleans = set()
-        for a in choices[argv[0]]._actions:
-            if a.option_strings and a.dest != "help":
-                flags[a.dest] = a.option_strings[-1]
-                if isinstance(a, argparse._StoreTrueAction):
-                    booleans.add(a.dest)
-        unknown = set(loaded) - set(flags)
+        actions = {a.dest: a for a in choices[argv[0]]._actions
+                   if a.option_strings and a.dest != "help"}
+        unknown = set(loaded) - set(actions)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        flags = []
         for k, v in loaded.items():
-            flag = flags[k]
-            if _flag_present(argv, flag):
-                continue
-            if k in booleans:
-                if v:
-                    argv.append(flag)
-            else:
-                argv.extend([flag, str(v)])
+            flag = actions[k].option_strings[-1]
+            if actions[k].nargs != 0:
+                flags += [flag, str(v)]
+            elif v:  # a switch takes no value; a true one turns it on
+                flags.append(flag)
+        argv[1:1] = flags
     return argv
-
-
-def _flag_present(argv, flag):
-    return any(a == flag or a.startswith(flag + "=") for a in argv)
 
 
 def _add_common(sp):
@@ -228,9 +227,6 @@ def _cmd_dual(args):
 def _cmd_cover(args):
     gammas = [float(g) for g in args.gammas.split(",")]
     if args.class_file is not None:
-        for gamma in gammas:
-            if not (math.isfinite(gamma) and gamma >= 0):
-                raise ValueError(f"gamma must be finite and >= 0, got {gamma!r}")
         ec = load_expert_class(args.class_file)
         ctx = ec.contexts[0]
         x = BinaryTree(args.n, values=np.array([ctx] * ((1 << args.n) - 1),
@@ -374,8 +370,9 @@ def _cmd_assouad(args):
         }
         _emit(report, rows, ("p", "n", "epsilon", "seed", "regret"), args)
         return 0
+    dim = assouad_mod.integer_dimension(args.p)
     lb, eps = assouad_mod.lower_bound_value(args.p, args.n)
-    ac = assouad_mod.build_assouad_class(int(round(args.p)), eps)
+    ac = assouad_mod.build_assouad_class(dim, eps)
     report = {
         "subcommand": "assouad",
         "p": args.p,
@@ -459,9 +456,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.emit_config is not None:
             with open(args.emit_config, "w") as f:
-                json.dump(_round_floats(_effective_config(args)), f, indent=2,
-                          sort_keys=True)
-                f.write("\n")
+                f.write(_json(_effective_config(args)))
         return args.func(args)
     except SystemExit as exc:  # from argparse: 2 usage error, 0 --help
         return exc.code

@@ -144,7 +144,7 @@ class ExpertClass:
             raise ValueError("expert class must be non-empty")
         if self.experts.shape[1] != len(self.contexts):
             raise ValueError("each expert must be defined on every context")
-        if np.any((self.experts < 0) | (self.experts > 1)):
+        if not np.all((self.experts >= 0) & (self.experts <= 1)):
             raise ValueError("expert values must lie in [0, 1]")
         try:
             self._index = {c: i for i, c in enumerate(self.contexts)}
@@ -397,8 +397,8 @@ def psi(p, lam, v):
     For p in {0, 1} the zero-weight branch is dropped, giving the reduced
     one-term formulas (1 - v)^lam e^{2 lam v} and (1 + v)^lam e^{-2 lam v}.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"lambda must be finite and positive, got {lam!r}")
     p = _as_float_array(p)
     v = _as_float_array(v)
     out = _elementwise(lambda p, v: _psi(p, v, lam), p, v)

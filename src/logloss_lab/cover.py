@@ -356,14 +356,16 @@ class EntropyCurve:
 
     @classmethod
     def power(cls, C: float, p: float) -> "EntropyCurve":
-        if C < 0 or p <= 0:
-            raise ValueError("power curve needs C >= 0, p > 0")
+        if not (math.isfinite(C) and math.isfinite(p) and C >= 0 and p > 0):
+            raise ValueError(
+                f"power curve needs finite C >= 0, p > 0, got C={C!r}, p={p!r}"
+            )
         return cls(kind="power", C=C, p=p)
 
     @classmethod
     def log_form(cls, d: float) -> "EntropyCurve":
-        if d < 0:
-            raise ValueError("log curve needs d >= 0")
+        if not (math.isfinite(d) and d >= 0):
+            raise ValueError(f"log curve needs finite d >= 0, got d={d!r}")
         return cls(kind="log", d=d)
 
     @classmethod
@@ -382,7 +384,7 @@ class EntropyCurve:
         )
 
     def value(self, gamma: float) -> float:
-        if gamma <= 0:
+        if not gamma > 0:
             raise ValueError("gamma must be positive")
         return self.unchecked_value(gamma)
 

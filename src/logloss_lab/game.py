@@ -524,11 +524,14 @@ class BayesMixture:
         if prior is None:
             prior = np.full(expert_class.n_experts, 1.0 / expert_class.n_experts)
         prior = np.asarray(prior, dtype=float)
-        if prior.shape != (expert_class.n_experts,) or not math.isclose(
-            prior.sum(), 1.0, abs_tol=1e-9
+        if not (
+            prior.shape == (expert_class.n_experts,)
+            and np.all(prior >= 0)
+            and math.isclose(prior.sum(), 1.0, abs_tol=1e-9)
         ):
             raise ValueError("prior must be a distribution over experts")
-        self.log_prior = np.log(prior)
+        with np.errstate(divide="ignore"):  # a zero weight has log -inf
+            self.log_prior = np.log(prior)
 
     def predict(self, history, x) -> float:
         logw = self.expert_class.history_log_lik(history, self.log_prior)
@@ -630,8 +633,9 @@ def worst_case_search(g: GameInstance, strategy):
     is walked once over the history levels, one `predict` per edge.  An
     undefined regret (every loss infinite) scores -inf.  Ties (within
     TIE_TOLERANCE of the max) go to the lexicographically first sequence
-    (contexts in the rule's order, then outcome); for a Bayes mixture on
-    count states, to the lexicographically first sorted sequence.
+    (contexts in the rule's order, then outcome).  On count states this is
+    the same rule: sorting a sequence keeps its counts and so its regret,
+    so the first tied sequence is a sorted one.
     """
     if type(strategy) is BayesMixture:
         table = g._table

@@ -41,27 +41,16 @@ __all__ = [
     "CHECK_IDS",
     "CheckReport",
     "run_check",
-    "run_all_checks",
     "sup_psi",
     "lambda_threshold_scan",
 ]
-
-CHECK_IDS = (
-    "PHI_LIPSCHITZ",
-    "SC_POINTWISE",
-    "SC_EDGE",
-    "NESTEROV",
-    "SELF_CONCORDANT",
-    "CLIPPING",
-    "KL_EPS",
-    "ETA_IDENTITY",
-    "ESTIMATION",
-)
 
 # Exclusion band around p, f in {0, 1}; the boundary itself is handled by
 # the dedicated edge-case check.
 _EDGE = 1e-6
 _Y = np.array([0.0, 1.0])
+# A check passes when its worst slack is at least -_TOLERANCE.
+_TOLERANCE = 1e-9
 
 
 @dataclass
@@ -94,7 +83,7 @@ def _first_min(blocks):
     return k, best, seen
 
 
-def _report(check_id, grid_spec, blocks, coords, tolerance, points=None):
+def _report(check_id, grid_spec, blocks, coords, points=None):
     """Assemble a report from the slack blocks of a grid and its axes.
 
     `coords` are arrays that broadcast to the grid's shape, and `blocks`
@@ -111,8 +100,8 @@ def _report(check_id, grid_spec, blocks, coords, tolerance, points=None):
         grid_spec=grid_spec,
         worst_slack=worst,
         worst_point=point,
-        tolerance=tolerance,
-        passed=worst >= -tolerance,
+        tolerance=_TOLERANCE,
+        passed=worst >= -_TOLERANCE,
         points=seen if points is None else points,
     )
 
@@ -152,7 +141,6 @@ def _check_phi_lipschitz(resolution):
         f"s,t in [-100,100] step {resolution:g} ({m}^2 points)",
         [slack],
         (s[rows], s[cols]),
-        1e-9,
     )
 
 
@@ -167,7 +155,6 @@ def _check_sc_pointwise(resolution):
             p, f, eta(p, y), log_loss(p, y), log_loss(f, y),
         ),
         (p, f, y),
-        1e-9,
     )
 
 
@@ -186,7 +173,6 @@ def _check_sc_edge(resolution):
             f"f in [0,1] step {resolution:g}, both boundary branches",
             (v for branch in branches for v in _block_values(branch, f)),
             (f[None, :], np.array([[1.0], [0.0]])),
-            1e-9,
         )
 
 
@@ -207,7 +193,6 @@ def _check_nesterov(resolution):
         _block_values(slack, s, t, log_loss(s, y), log_loss(t, y), eta(s, y),
                       root),
         (s, t, y),
-        1e-9,
     )
 
 
@@ -234,7 +219,6 @@ def _check_self_concordant(resolution):
         (v for y in (0, 1)
          for v in _block_values(lambda s, y=y: _self_concordant_slack(s, y), s)),
         (s[None, :], _Y[:, None]),
-        1e-9,
     )
 
 
@@ -263,7 +247,6 @@ def _check_clipping(resolution):
             p, d, y, log_loss(p, y),
         ),
         (p, d, y),
-        1e-9,
     )
 
 
@@ -279,7 +262,6 @@ def _check_kl_eps(resolution):
             e, q,
         ),
         (e, q),
-        1e-9,
     )
 
 
@@ -338,7 +320,6 @@ def _check_eta_identity(resolution, seed, n=8, n_trees=100):
         f"n={n}, {n_trees} random prob trees, exact enumeration",
         [-np.abs(totals - 2.0 * n)],
         (np.arange(n_trees), totals),
-        1e-9,
         points=n_trees << n,
     )
 
@@ -368,7 +349,6 @@ def _check_estimation(resolution, seed, n_instances=200, max_n=10, max_sets=16):
         ),
         [bounds - values],
         (np.arange(n_instances), ns, ks, values),
-        1e-9,
         points=paths,
     )
 
@@ -380,42 +360,39 @@ def _validate_resolution(resolution):
         )
 
 
-_GRID_CHECKS = {
-    "PHI_LIPSCHITZ": _check_phi_lipschitz,
-    "SC_POINTWISE": _check_sc_pointwise,
-    "SC_EDGE": _check_sc_edge,
-    "NESTEROV": _check_nesterov,
-    "SELF_CONCORDANT": _check_self_concordant,
-    "CLIPPING": _check_clipping,
-    "KL_EPS": _check_kl_eps,
+# check id -> (check, whether it takes the seed), in report order
+_CHECKS = {
+    "PHI_LIPSCHITZ": (_check_phi_lipschitz, False),
+    "SC_POINTWISE": (_check_sc_pointwise, False),
+    "SC_EDGE": (_check_sc_edge, False),
+    "NESTEROV": (_check_nesterov, False),
+    "SELF_CONCORDANT": (_check_self_concordant, False),
+    "CLIPPING": (_check_clipping, False),
+    "KL_EPS": (_check_kl_eps, False),
+    "ETA_IDENTITY": (_check_eta_identity, True),
+    "ESTIMATION": (_check_estimation, True),
 }
-_SEEDED_CHECKS = {
-    "ETA_IDENTITY": _check_eta_identity,
-    "ESTIMATION": _check_estimation,
-}
+CHECK_IDS = tuple(_CHECKS)
 
 
 def run_check(check_id: str, resolution: float = 1e-3, seed: int = 0, **kwargs):
     """Run one named inequality check; see CHECK_IDS.  Keywords go to the
     check, so one it does not take raises TypeError."""
     _validate_resolution(resolution)
-    if check_id in _GRID_CHECKS:
-        return _GRID_CHECKS[check_id](resolution, **kwargs)
-    if check_id in _SEEDED_CHECKS:
-        return _SEEDED_CHECKS[check_id](resolution, seed, **kwargs)
-    raise ValueError(f"unknown check_id: {check_id!r}")
-
-
-def run_all_checks(resolution: float = 1e-3, seed: int = 0):
-    return [run_check(cid, resolution=resolution, seed=seed) for cid in CHECK_IDS]
+    if check_id not in _CHECKS:
+        raise ValueError(f"unknown check_id: {check_id!r}")
+    check, seeded = _CHECKS[check_id]
+    if seeded:
+        return check(resolution, seed, **kwargs)
+    return check(resolution, **kwargs)
 
 
 def sup_psi(lam: float, resolution: float = 1e-3):
     """Grid maximum of psi(p, lam, v) over p in [0,1], v in [p-1, p],
     followed by one golden-section refinement in v at the best p.
     Returns (sup_value, (p, v))."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"lambda must be finite and positive, got {lam!r}")
     _validate_resolution(resolution)
     m = int(math.floor(1.0 / resolution)) + 1
     p = np.linspace(0.0, 1.0, m)

@@ -9,9 +9,11 @@ import pytest
 
 import logloss_lab
 from logloss_lab import verify as verify_mod
+from logloss_lab.assouad import BatchEstimator, lower_bound_value
+from logloss_lab.bounds import rate_exponents
 from logloss_lab.cli import _parse_entropy, _parse_n_grid, main
-from logloss_lab.core import ExpertClass
-from logloss_lab.game import GameInstance, exact_minimax
+from logloss_lab.core import ExpertClass, psi
+from logloss_lab.game import BayesMixture, GameInstance, exact_minimax
 
 
 @pytest.fixture
@@ -289,6 +291,16 @@ def test_assouad_subcommand(tmp_path):
     assert report["lower_bound"] == pytest.approx(1.0)
 
 
+def test_assouad_needs_integer_dimension(capsys):
+    # the single-n path builds the same cube as --scaling, so it takes the
+    # same whole-number p
+    for p in ("1.4", "2.6", "nan"):
+        assert main(["assouad", "--p", p, "--n", "1024"]) == 2
+        assert "the experiment needs an integer dimension p" in (
+            capsys.readouterr().err
+        )
+
+
 def test_assouad_scaling_csv(tmp_path):
     out = tmp_path / "scaling.csv"
     code = main(["assouad", "--scaling", "--p", "1", "--n-grid", "64,128",
@@ -334,6 +346,81 @@ def test_config_roundtrip(class_file, tmp_path):
     code = main(["--config", str(cfg), "minimax", "--out", str(out2)])
     assert code == 0
     assert out1.read_text() == out2.read_text()
+
+
+def test_command_line_overrides_config(class_file, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"subcommand": "minimax",
+                               "class_file": class_file, "n": 2}))
+    for flag in (["--n", "3"], ["--n=3"]):
+        assert main(["--config", str(cfg), "minimax", *flag,
+                     "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 3
+    # a config value is parsed even where the command line overrides it
+    cfg.write_text(json.dumps({"subcommand": "minimax",
+                               "class_file": class_file, "n": "abc"}))
+    assert main(["--config", str(cfg), "minimax", "--n", "3"]) == 2
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+    # a config true turns a switch on, and false leaves it off
+    for fit in (True, False):
+        cfg.write_text(json.dumps({"subcommand": "bounds",
+                                   "entropy": "pow:p=2", "n_grid": "16,32",
+                                   "fit": fit}))
+        assert main(["--config", str(cfg), "--format", "json"]) == 0
+        assert ("fit" in json.loads(capsys.readouterr().out)) is fit
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"non-JSON constant {name} in the output")
+
+
+def test_json_output_is_strict(tmp_path, capsys, monkeypatch):
+    # one scale fits no slope, and a dual whose one expert gives the drawn
+    # outcome probability 0 has value -inf
+    assert main(["cover", "--gammas", "1,2", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert report["slope"] is None
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"contexts": [0], "experts": [[0.0]]}))
+    argv = ["dual", "--class", str(path), "--n", "2", "--samples", "3"]
+    assert main([*argv, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert report["best_dual"] is None and report["gap"] is None
+    # CSV keeps the float's own text
+    assert main([*argv, "--format", "csv"]) == 0
+    assert capsys.readouterr().out.split("\n")[1] == "0,-inf"
+    # a non-finite float that escapes the rounding is a defect
+    from logloss_lab import cli
+    monkeypatch.setattr(cli, "_round_floats", lambda obj: obj)
+    assert main(["cover", "--gammas", "1,2", "--format", "json"]) == 3
+    assert "internal error: RuntimeError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", [
+    ["minimax", "--class", "NAN_CLASS", "--n", "3"],
+    ["bounds", "--entropy", "pow:p=2,C=inf", "--n-grid", "16,32"],
+    ["bounds", "--entropy", "log:d=inf", "--n-grid", "16,32"],
+    ["bounds", "--entropy", "pow:p=nan", "--n-grid", "16,32"],
+    lambda: psi(0.5, math.nan, 0.1),
+    lambda: verify_mod.sup_psi(math.nan),
+    lambda: rate_exponents(math.nan),
+    lambda: lower_bound_value(math.nan, 1024),
+    lambda: BatchEstimator([math.nan, 0.5]),
+    lambda: BayesMixture(ExpertClass.constants([0.3, 0.7]), prior=[1.5, -0.5]),
+], ids=["minimax-nan-class", "bounds-pow-C-inf", "bounds-log-d-inf",
+        "bounds-pow-p-nan", "psi", "sup_psi", "rate_exponents",
+        "lower_bound_value", "BatchEstimator", "BayesMixture-prior"])
+def test_range_checks_reject_nan_and_inf(case, tmp_path, capsys):
+    # each check is written positively, so NaN and +-inf fail it
+    if callable(case):
+        with pytest.raises(ValueError):
+            case()
+        return
+    path = tmp_path / "nan.json"
+    path.write_text('{"contexts": [0], "experts": [[NaN], [0.5]]}')
+    assert main([str(path) if a == "NAN_CLASS" else a for a in case]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "NaN to integer" not in err
 
 
 def test_unknown_class_file_keys(tmp_path):

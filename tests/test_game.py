@@ -720,10 +720,12 @@ def brute_force_worst_case(g, strategy):
 
 def test_worst_case_search_matches_brute_force():
     # On a StaticContexts game the Bayes mixture is searched over count
-    # vectors, and its tie rule differs from the loop's: of the sequences
-    # within 1e-12 of the max, the lexicographically first sorted one.
-    # At this seed, iterations 11 and 17 are exact ties (regret log 3 and
-    # log 2) whose sequences differ in summation noise.
+    # vectors, under any other rule over histories, and both take the
+    # lexicographically first sequence within 1e-12 of the max.  Sorting a
+    # sequence keeps its counts and so its regret, so that sequence is a
+    # sorted one, and the two searches return the same sequence.  At this
+    # seed, iterations 11 and 17 are exact ties (regret log 3 and log 2)
+    # whose sequences differ in summation noise.
     rng = np.random.default_rng(17)
     for _ in range(20):
         k = int(rng.integers(1, 3))
@@ -742,15 +744,27 @@ def test_worst_case_search_matches_brute_force():
         top = max(r for _, r in scored)
         ties = [sorted(s) for s, r in scored if r >= top - 1e-12]
         assert seq == _split(min(ties))
-        # on histories the first sequence within 1e-12 of the max wins
         rule = _SameEveryRound(ec.contexts)
         g_hist = GameInstance(horizon=n, expert_class=ec, availability=rule)
         hist_seq, hist_regret = worst_case_search(g_hist, BayesMixture(ec))
         assert hist_seq == ref_seq
+        assert seq == hist_seq
         assert hist_regret == pytest.approx(ref_regret, abs=1e-12)
         for strat in (MinimaxOptimal(g), ConstantStrategy(0.3)):
             walked = worst_case_search(g, strat)
             assert walked[0] == brute_force_worst_case(g, strat)[0]
+
+
+def test_bayes_mixture_zero_prior_weight():
+    # an expert of prior weight 0 never counts, and taking its log -inf
+    # raises no RuntimeWarning
+    ec = ExpertClass.constants([0.3, 0.7])
+    strat = BayesMixture(ec, prior=[1.0, 0.0])
+    assert strat.predict(((0, 1), (0, 1)), 0) == 0.3
+    g = GameInstance(horizon=3, expert_class=ec)
+    regret = worst_case_search(g, strat)[1]
+    assert regret == pytest.approx(worst_case_search(g, ConstantStrategy(0.3))[1],
+                                   abs=1e-12)
 
 
 def test_bayes_mixture_once_every_expert_is_ruled_out():
