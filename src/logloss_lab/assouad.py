@@ -28,6 +28,7 @@ __all__ = [
     "kl_risk",
     "integer_dimension",
     "lower_bound_value",
+    "check_class_horizon",
     "ScalingResult",
     "scaling_experiment",
 ]
@@ -224,6 +225,14 @@ def lower_bound_value(p: float, n: int):
     return n ** (p / (p + 1.0)) / 128.0, eps
 
 
+def check_class_horizon(n: int) -> None:
+    """Raise unless horizon n has a sign class: its epsilon
+    n^{-1/(p+1)}/8 must lie below 1/8, and at n = 1 it is 1/8 itself."""
+    if n < 2:
+        raise ValueError(f"horizon {n} gives epsilon >= 1/8 and no Assouad "
+                         "class; the horizon must be at least 2")
+
+
 def _sign_class_regret(ac: AssouadClass, strategy, dataset) -> float:
     """Cumulative log loss of the strategy minus the best sign vector's.
 
@@ -268,6 +277,7 @@ def scaling_experiment(
         raise ValueError("need at least two distinct horizons")
     if min(ns) < 1:
         raise ValueError(f"horizons must be >= 1, got {min(ns)}")
+    check_class_horizon(min(ns))
     seeds = list(seeds)
     if not seeds:
         raise ValueError("need at least one seed")

@@ -274,6 +274,11 @@ def _cmd_bounds(args):
     ns = _parse_n_grid(args.n_grid)
     if args.fit and len(set(ns)) < 2:
         raise ValueError("--fit needs at least two distinct horizons")
+    if args.fit and (H.C if H.kind == "power" else H.d) == 0.0:
+        # both bounds are 0 at every n; the sweep reads the optimisers'
+        # stopping points, whose slopes say nothing about the bounds
+        raise ValueError("--fit needs a nonzero entropy curve: "
+                         f"{args.entropy!r} is identically zero")
     rows = []
     for n in ns:
         sc, _ = bounds_mod.self_concordance_bound(H, n)
@@ -372,6 +377,7 @@ def _cmd_assouad(args):
         return 0
     dim = assouad_mod.integer_dimension(args.p)
     lb, eps = assouad_mod.lower_bound_value(args.p, args.n)
+    assouad_mod.check_class_horizon(args.n)
     ac = assouad_mod.build_assouad_class(dim, eps)
     report = {
         "subcommand": "assouad",

@@ -376,17 +376,18 @@ def _psi(p, v, lam):
         raise ValueError("v must lie in [p - 1, p]")
     av = np.abs(v)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # a branch drops only where its weight is 0; a NaN p keeps both
         head = np.where(
-            p > 0,
+            p <= 0,
+            0.0,
             p * (1.0 + av / np.where(p > 0, p, 1.0)) ** lam
             * np.exp(-lam * (v + av) / np.where(p > 0, p, 1.0)),
-            0.0,
         )
         tail = np.where(
-            p < 1,
+            p >= 1,
+            0.0,
             (1 - p) * (1.0 + av / np.where(p < 1, 1 - p, 1.0)) ** lam
             * np.exp(lam * (v - av) / np.where(p < 1, 1 - p, 1.0)),
-            0.0,
         )
     return head + tail
 

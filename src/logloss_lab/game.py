@@ -10,11 +10,14 @@ Each `GameInstance` solves this once, level by level, into one table that
 `exact_minimax`, `optimal_prediction`, `MinimaxOptimal` and the Bayes
 mixture's `worst_case_search` read: over count states under `StaticContexts`
 (how often each (context, outcome) pair occurred: C(t + 2k - 1, 2k - 1) at
-depth t, not (2k)^t histories), over histories under any other rule.
-STATE_GUARD bounds both; `worst_case_search` states the tie rule.  The
-count states' layout depends only on (k, n) and is read-only.  Games of a
-small shape share theirs from a bounded cache, which never holds more than
-STATE_GUARD states; a larger layout belongs to its game.
+depth t, not (2k)^t histories), over histories under any other rule.  A
+rule that is exactly PreviousOutcomes offers each history its outcome
+prefix, so that table's levels are built from the prefixes alone; any
+other rule is walked history by history.  STATE_GUARD bounds both;
+`worst_case_search` states the tie rule.  The count states' layout depends
+only on (k, n) and is read-only.  Games of a small shape share theirs from
+a bounded cache, which never holds more than STATE_GUARD states; a larger
+layout belongs to its game.
 """
 
 from __future__ import annotations
@@ -222,11 +225,12 @@ class _Table:
             for t, (hx, hy) in enumerate(history):
                 s = self._children(t, s, hx)[hy]
             t = len(history)
-            w0, w1 = self.values[t + 1][self._children(t, s, x)]
-        except (KeyError, IndexError):
+            c0, c1 = self._children(t, s, x)
+        except (KeyError, IndexError, TypeError):
             msg = "history not reachable under the availability rule"
             raise ValueError(msg) from None
-        return float(w0), float(w1)
+        w = self.values[t + 1]
+        return float(w[c0]), float(w[c1])
 
 
 class _CountTable(_Table):
@@ -275,9 +279,14 @@ class _HistoryTable(_Table):
     """W over the histories of any other rule, by depth.  Edge e of a depth
     (history, context, in the rule's order) leads to histories 2e + y of the
     next, so each depth is in lexicographic order.  The table keeps each
-    edge's node and context column, and one depth's histories while it is
-    built.  Given a strategy, it sums its loss to every leaf (`player_loss`),
-    one `predict` per edge."""
+    edge's node and context column, and each history's first edge
+    (`offsets`, one more entry than histories).  A rule that is exactly
+    PreviousOutcomes offers each history one context, its outcome prefix,
+    so a depth's edges are that depth's prefixes in lexicographic order and
+    no history is built; any other rule is walked history by history, one
+    `available` per history, keeping one depth's histories at a time.
+    Given a strategy, the table sums its loss to every leaf
+    (`player_loss`), one `predict` per edge."""
 
     solver = "histories"
 
@@ -285,38 +294,47 @@ class _HistoryTable(_Table):
         if 1 + g.estimated_nodes() > STATE_GUARD:
             raise ValueError("game instance too large for exact computation")
         self.ec = ec = g.expert_class
-        self.parents, self.cols, player = [], [], np.zeros(1)
-        histories = [()]
+        prefixes = type(g.availability) is PreviousOutcomes
+        self.parents, self.offsets, self.cols = [], [], []
+        player, histories = np.zeros(1), [()]
         for t in range(g.horizon):
-            options = [g.availability.available(h) for h in histories]
-            if any(len(xs) == 0 for xs in options):
-                raise ValueError("availability must never be empty")
-            parent = np.repeat(np.arange(len(options)), list(map(len, options)))
-            edges = [x for xs in options for x in xs]
+            if prefixes:
+                edges = list(itertools.product((0, 1), repeat=t))
+                parent = np.arange(len(edges))
+                offsets = np.arange(len(edges) + 1)
+            else:
+                options = [g.availability.available(h) for h in histories]
+                if any(len(xs) == 0 for xs in options):
+                    raise ValueError("availability must never be empty")
+                sizes = list(map(len, options))
+                parent = np.repeat(np.arange(len(options)), sizes)
+                offsets = np.cumsum([0, *sizes])
+                edges = [x for xs in options for x in xs]
             self.parents.append(parent)
-            self.cols.append(np.array([ec.context_index(x) for x in edges]))
+            self.offsets.append(offsets)
+            self.cols.append(_columns(ec, edges))
             if strategy is not None:
                 p = np.array([strategy.predict(histories[q], x)
                               for q, x in zip(parent.tolist(), edges)])
                 player = (player[parent, None] + log_loss(p[:, None], (0, 1))).ravel()
-            if t + 1 < g.horizon:
+            if t + 1 < g.horizon and (strategy is not None or not prefixes):
                 histories = [histories[q] + ((x, y),)
                              for q, x in zip(parent.tolist(), edges) for y in (0, 1)]
         self.player_loss = player
         w = np.max(self.leaf_log_lik(ec), axis=1)
         self.values = [w]
-        for parent in reversed(self.parents):
-            starts = np.flatnonzero(np.diff(parent, prepend=-1))
-            w = np.maximum.reduceat(np.logaddexp(w[0::2], w[1::2]), starts)
+        for offsets in reversed(self.offsets):
+            w = np.maximum.reduceat(np.logaddexp(w[0::2], w[1::2]), offsets[:-1])
             self.values.append(w)
         self.values.reverse()
         self.states = sum(w.size for w in self.values)
 
     def _children(self, t, s, x):
-        lo, hi = np.searchsorted(self.parents[t], (s, s + 1))
-        hit = self.cols[t][lo:hi] == self.ec.context_index(x)
-        e = lo + np.flatnonzero(hit)[0]
-        return np.array((2 * e, 2 * e + 1))
+        col, cols, offsets = self.ec.context_index(x), self.cols[t], self.offsets[t]
+        for e in range(offsets[s], offsets[s + 1]):
+            if cols[e] == col:
+                return 2 * e, 2 * e + 1
+        raise KeyError(x)
 
     def leaf_log_lik(self, ec: ExpertClass) -> np.ndarray:
         """(leaves, experts) log likelihoods of the full histories."""
@@ -367,6 +385,16 @@ def _child_histories(histories, xs):
 def _check_paths(n: int) -> None:
     if (1 << n) > PATH_GUARD:
         raise ValueError("too many paths for exact dual evaluation")
+
+
+def _columns(ec: ExpertClass, edges) -> np.ndarray:
+    """Class column of every edge's context; KeyError for the first context
+    the class lacks."""
+    columns = map(ec._index.get, edges, itertools.repeat(-1))
+    cols = np.fromiter(columns, dtype=np.intp, count=len(edges))
+    if cols.min() < 0:
+        ec.context_index(edges[int(np.argmin(cols))])
+    return cols
 
 
 def _node_columns(g: GameInstance, context_tree: BinaryTree) -> np.ndarray:

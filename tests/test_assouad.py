@@ -153,6 +153,8 @@ def test_scaling_experiment_small():
             scaling_experiment(1.0, grid, SignClassBayes, range(3))
     with pytest.raises(ValueError, match="horizons must be >= 1"):
         scaling_experiment(1.0, [0, 64], SignClassBayes, range(3))
+    with pytest.raises(ValueError, match="horizon must be at least 2"):
+        scaling_experiment(1.0, [64, 1], SignClassBayes, range(3))
     with pytest.raises(ValueError, match="at least one seed"):
         scaling_experiment(1.0, [64, 128], SignClassBayes, [])
 

@@ -239,6 +239,17 @@ def test_cover_curve_reports_counts(tmp_path):
     )
 
 
+def test_bounds_fit_of_zero_curve_exits_2(capsys):
+    # a zero curve's bounds are 0 at every n, so a slope fit has nothing to
+    # fit; the sweep alone still runs
+    for spec in ("pow:C=0", "log:d=0"):
+        args = ["bounds", "--entropy", spec, "--n-grid", "16,32"]
+        assert main([*args, "--fit"]) == 2
+        assert "identically zero" in capsys.readouterr().err
+        assert main(args) == 0
+        assert "fit" not in json.loads(capsys.readouterr().out)
+
+
 def test_bounds_fit_past_int64(tmp_path):
     out = tmp_path / "fit.json"
     code = main(["bounds", "--entropy", "pow:p=2,C=1",
@@ -324,6 +335,15 @@ def test_assouad_scaling_grid_errors_exit_2(capsys):
         assert main(["assouad", "--scaling", "--p", "1", "--n-grid", grid,
                      "--n-seeds", "1"]) == 2
         assert msg in capsys.readouterr().err
+
+
+def test_assouad_horizon_one_exits_2(capsys):
+    # at n = 1 the sign class's epsilon would be 1/8 itself
+    for argv in (["--n", "1"], ["--scaling", "--n-grid", "1,64", "--n-seeds", "1"]):
+        assert main(["assouad", "--p", "1", *argv]) == 2
+        err = capsys.readouterr().err
+        assert "horizon must be at least 2" in err
+        assert "epsilon must lie" not in err
 
 
 def test_config_error_exit_code(tmp_path):

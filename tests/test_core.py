@@ -243,6 +243,16 @@ def test_psi_edges_and_validation():
         psi(0.5, -1.0, 0.0)
 
 
+def test_psi_of_nan_p_is_nan():
+    # neither branch weight is known to be 0, so neither is dropped
+    assert math.isnan(psi(float("nan"), 1.0, 0.1))
+    got = psi(np.array([np.nan, 0.0, 1.0, np.nan]), 0.3,
+              np.array([0.1, -0.4, 0.3, np.nan]))
+    assert np.isnan(got[[0, 3]]).all()
+    assert got[1] == psi(0.0, 0.3, -0.4)
+    assert got[2] == psi(1.0, 0.3, 0.3)
+
+
 # Blocked kernels: a call over more than core._BLOCK broadcast elements is
 # evaluated a block at a time; it must equal the one-call evaluation, which
 # the kernels take when _BLOCK is raised past the input size.

@@ -108,6 +108,11 @@ class _Ragged(AvailabilityRule):
         return self.k
 
 
+class _Prefixes(PreviousOutcomes):
+    """PreviousOutcomes as a subclass, which takes the generic history walk:
+    the reference for the exact rule's levels built from outcome prefixes."""
+
+
 def reference_value(g, history, loglik):
     """W(history) by the per-node recursion the history table replaced;
     loglik holds each expert's cumulative log likelihood."""
@@ -276,16 +281,20 @@ def test_count_states_match_history_recursion():
             _same_or_close(a, b)
 
 
+def _prefix_contexts(n):
+    """Every outcome tuple shorter than n: PreviousOutcomes' context ids."""
+    return [c for m in range(n) for c in itertools.product((0, 1), repeat=m)]
+
+
 def _history_game(rng):
-    """A random PreviousOutcomes game (n <= 7) or ragged game (at most 512
-    leaves), expert tables with exact 0/1 entries."""
+    """A random PreviousOutcomes game, exact or by subclass (n <= 7), or
+    ragged game (at most 512 leaves), expert tables with exact 0/1
+    entries."""
     n_experts = int(rng.integers(1, 5))
     if rng.uniform() < 0.5:
         n = int(rng.integers(1, 8))
-        contexts = [
-            c for m in range(n) for c in itertools.product((0, 1), repeat=m)
-        ]
-        rule = PreviousOutcomes()
+        contexts = _prefix_contexts(n)
+        rule = (PreviousOutcomes, _Prefixes)[int(rng.integers(2))]()
     else:
         k = int(rng.integers(1, 4))
         n = min(int(rng.integers(1, 8)), int(math.log(512, 2 * k) + 1e-9))
@@ -344,6 +353,72 @@ def test_history_table_matches_recursion():
         _check_worst_cases(g)
 
 
+def _prefix_pair(n, experts):
+    """One game under exact PreviousOutcomes, its twin under the subclass."""
+    ec = ExpertClass(_prefix_contexts(n), experts)
+    return [GameInstance(n, ec, rule) for rule in (PreviousOutcomes(), _Prefixes())]
+
+
+def test_prefix_levels_match_history_walk():
+    rng = np.random.default_rng(1818)
+    for n in range(1, 8):
+        for _ in range(6):
+            experts = _with_exact_zeros_and_ones(rng, (int(rng.integers(1, 5)),
+                                                       (1 << n) - 1))
+            exact, sub = _prefix_pair(n, experts)
+            got, want = exact._table, sub._table
+            for name in ("values", "parents", "offsets", "cols"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert len(a) == len(b)
+                for u, v in zip(a, b):
+                    assert u.dtype == v.dtype
+                    assert u.tobytes() == v.tobytes()
+            assert got.states == want.states
+            for ties in (rng.uniform(size=1 << n) < 0.3, np.ones(1 << n, bool)):
+                ties[rng.integers(1 << n)] = True
+                assert got.first_tie(ties) == want.first_tie(ties)
+            level = [()]
+            for _ in range(n):
+                prefixes = [tuple(b for _, b in h) for h in level]
+                for h, x in zip(level, prefixes):
+                    assert (_or_error(optimal_prediction, exact, h, x)
+                            == _or_error(optimal_prediction, sub, h, x))
+                level = [h + ((x, y),) for h, x in zip(level, prefixes)
+                         for y in (0, 1)]
+            for strat in (MinimaxOptimal, lambda g: ConstantStrategy(0.3)):
+                assert (_or_error(worst_case_search, exact, strat(exact))
+                        == _or_error(worst_case_search, sub, strat(sub)))
+
+
+def test_prefix_levels_never_call_available(monkeypatch):
+    rng = np.random.default_rng(18)
+    experts = rng.uniform(0.05, 0.95, size=(3, 2**9 - 1))
+    exact, sub = _prefix_pair(9, experts)
+    want = exact_minimax(sub)
+    mixture = worst_case_search(sub, BayesMixture(sub.expert_class))
+
+    def available(self, history):
+        raise AssertionError("available called")
+
+    monkeypatch.setattr(PreviousOutcomes, "available", available)
+    assert exact_minimax(exact) == want
+    assert worst_case_search(exact, BayesMixture(exact.expert_class)) == mixture
+    with pytest.raises(AssertionError):
+        exact_minimax(_prefix_pair(9, experts)[1])
+
+
+def test_missing_prefix_same_error_on_both_builds():
+    for n, missing in ((1, ()), (3, (1,)), (4, (0, 1, 1))):
+        contexts = [c for c in _prefix_contexts(n) if c != missing]
+        ec = ExpertClass(contexts, np.full((2, len(contexts)), 0.5))
+        messages = []
+        for rule in (PreviousOutcomes(), _Prefixes()):
+            with pytest.raises(KeyError) as err:
+                exact_minimax(GameInstance(n, ec, rule))
+            messages.append(str(err.value))
+        assert messages == [repr(f"unknown context id: {missing!r}")] * 2
+
+
 def exact_mixture_worst_case(g, strategy):
     """worst_case_search for a Bayes mixture as a loop over every full
     history, scored by the mixture's exact regret
@@ -387,14 +462,16 @@ def test_unreachable_histories_same_message_on_both_tables():
     ec = ExpertClass(contexts=["a", "b"], experts=[[0.2, 0.6], [0.8, 0.4]])
     count = GameInstance(3, ec, StaticContexts(["a"]))
     hist = GameInstance(3, ec, _SameEveryRound(["a"]))
-    for history in ((("b", 1),), (("a", 2),), (("a", 0), ("c", 1))):
+    for history in ((("b", 1),), (("a", 2),), (("a", 0), ("c", 1)),
+                    (("a", 1.0),), (("a", "1"),), ((["a"], 0),)):
         got = _or_error(optimal_prediction, count, history, "a")
         assert got == "history not reachable under the availability rule"
         assert _or_error(optimal_prediction, hist, history, "a") == got
     ctx = [(), (0,), (1,)]
     prev = GameInstance(2, ExpertClass(ctx, np.full((2, 3), 0.5)),
                         PreviousOutcomes())
-    assert _or_error(optimal_prediction, prev, (((), 2),), (2,)) == got
+    for y in (2, 1.0, "1"):
+        assert _or_error(optimal_prediction, prev, (((), y),), (y,)) == got
     assert 0.0 < optimal_prediction(prev, (((), 1),), (1,)) < 1.0
 
 
