@@ -228,6 +228,10 @@ def _cmd_cover(args):
     gammas = [float(g) for g in args.gammas.split(",")]
     if args.class_file is not None:
         ec = load_expert_class(args.class_file)
+        if len(ec.contexts) != 1:
+            # the covered tree shows one context at every node
+            raise ValueError("cover --class needs a class with one context, "
+                             f"got {len(ec.contexts)}")
         ctx = ec.contexts[0]
         x = BinaryTree(args.n, values=np.array([ctx] * ((1 << args.n) - 1),
                                                dtype=object))

@@ -191,7 +191,7 @@ class ExpertClass:
         (context, outcome) pairs, summed round by round."""
         total = np.zeros(self.n_experts) + start
         for x, y in history:
-            total += self.log_lik[y, :, self.context_index(x)]
+            total += self.log_lik[_outcome(y), :, self.context_index(x)]
         return total
 
     @classmethod
@@ -199,6 +199,14 @@ class ExpertClass:
         """Context-free experts: a single context, one constant per expert."""
         probs = np.asarray(probs, dtype=float)
         return cls(contexts=[0], experts=probs[:, None])
+
+
+def _outcome(y) -> int:
+    """y as the int 0 or 1: an int, bool or numpy integer of that value;
+    ValueError for anything else (-1, 2, None, 1.0, "1")."""
+    if isinstance(y, (int, np.integer, np.bool_)) and y in (0, 1):
+        return int(y)
+    raise ValueError(f"outcome must be 0 or 1, got {y!r}")
 
 
 def _as_float_array(x):

@@ -18,6 +18,10 @@ other rule is walked history by history.  STATE_GUARD bounds both;
 only on (k, n) and is read-only.  Games of a small shape share theirs from
 a bounded cache, which never holds more than STATE_GUARD states; a larger
 layout belongs to its game.
+
+`dual_value` checks and scores a committed (context tree, probability
+tree) pair in one pass over the tree levels; under a rule other than
+StaticContexts it and `random_dual_strategy` share one history walk.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BinaryTree, ExpertClass, log_loss
+from .core import BinaryTree, ExpertClass, _outcome, log_loss
 
 __all__ = [
     "AvailabilityRule",
@@ -223,10 +227,10 @@ class _Table:
         s = 0
         try:
             for t, (hx, hy) in enumerate(history):
-                s = self._children(t, s, hx)[hy]
+                s = self._children(t, s, hx)[_outcome(hy)]
             t = len(history)
             c0, c1 = self._children(t, s, x)
-        except (KeyError, IndexError, TypeError):
+        except (KeyError, IndexError, TypeError, ValueError):
             msg = "history not reachable under the availability rule"
             raise ValueError(msg) from None
         w = self.values[t + 1]
@@ -376,10 +380,17 @@ def optimal_prediction(g: GameInstance, history, x) -> float:
     return float(np.exp(w1 - np.logaddexp(w0, w1)))
 
 
-def _child_histories(histories, xs):
-    """Histories of the next level: every node's outcome-0 child, then its
-    outcome-1 child (see BinaryTree.level)."""
-    return [h + ((x, y),) for y in (0, 1) for h, x in zip(histories, xs)]
+def _level_histories(tree: BinaryTree):
+    """The histories reaching each level's nodes, in flat order, level 1
+    first: every node's outcome-0 child, then its outcome-1 child (see
+    BinaryTree.level).  Round t's contexts are read only when round t + 1
+    is requested, so a caller may fill a level in before moving on."""
+    histories = [()]
+    yield histories
+    for t in range(1, tree.depth):
+        xs = tree.level(t)
+        histories = [h + ((x, y),) for y in (0, 1) for h, x in zip(histories, xs)]
+        yield histories
 
 
 def _check_paths(n: int) -> None:
@@ -419,42 +430,21 @@ def _get(index, x, missing):
         return missing
 
 
-def _check_reached(g: GameInstance, context_tree: BinaryTree, columns, open_branch):
-    """Raise for the first node, level by level, that a path with no branch
-    of probability exactly zero reaches and whose context the rule does not
-    offer (ValueError) or the class lacks (KeyError).  Under StaticContexts
-    only nodes with a negative column are looked at; under any other rule
-    every reached node's history is built and passed to `available`."""
-    static = _static(g)
-    if static and columns.min() >= 0:
-        return
-    reached, histories = np.ones(1, dtype=bool), [()]
-    for t in range(1, g.horizon + 1):
-        level = BinaryTree.level_slice(t)
-        xs, cols = context_tree.level(t), columns[level]
-        for q in np.flatnonzero(reached & (cols < 0) if static else reached):
-            if (cols[q] == -2 if static
-                    else xs[q] not in g.availability.available(histories[q])):
-                raise ValueError("context tree inconsistent with availability rule")
-            if cols[q] < 0:
-                g.expert_class.context_index(xs[q])  # raises KeyError
-        reached = (reached & open_branch[:, level]).ravel()
-        if not static and t < g.horizon:
-            histories = _child_histories(histories, xs)
-
-
 def dual_value(g: GameInstance, s: DualStrategy) -> float:
     """Expected regret when the adversary commits to (x, p) trees and the
     player best-responds with p-hat = p; paths through a branch of
     probability exactly zero are skipped.
 
-    The nodes such paths reach are checked first (`_check_reached`).  Then
-    one pass over the tree levels carries, for every prefix, the path
-    probability, the player's and each expert's cumulative loss, and
-    whether no branch so far was exactly zero (only when some branch is).
-    Row y of a level's (2, nodes) step extends every prefix by outcome y, so
-    the next level holds the outcome-0 children, then the outcome-1
-    children (see BinaryTree.level).  The branch probabilities, the
+    One pass over the tree levels.  Round t first checks the nodes such
+    paths reach (ValueError where the rule does not offer the context,
+    KeyError where the class lacks it): under StaticContexts only nodes
+    with a negative column, under any other rule `available` on each
+    reached node's history.  It then extends every prefix's path
+    probability and the player's and each expert's loss: row y of the
+    level's (2, nodes) step extends it by outcome y, so the next level
+    holds the outcome-0 children, then the outcome-1 children (see
+    BinaryTree.level).  The reached mask is carried only when a check is
+    needed or some branch is exactly zero.  Branch probabilities, the
     player's losses and every node's expert log-likelihoods are taken once
     for the whole tree.
     """
@@ -466,17 +456,28 @@ def dual_value(g: GameInstance, s: DualStrategy) -> float:
     branch = np.stack((1.0 - p, p))
     open_branch = branch != 0.0
     columns = _node_columns(g, s.context_tree)
-    _check_reached(g, s.context_tree, columns, open_branch)
-    columns = np.maximum(columns, 0)  # an unreached node reads column 0
+    static = _static(g)
+    check = not static or columns.min() < 0
+    masked = check or not open_branch.all()
+    histories = None if static else _level_histories(s.context_tree)
     losses = log_loss(p, np.array([[0], [1]]))
     ec = g.expert_class
-    lik = ec.log_lik.transpose(0, 2, 1).take(columns, axis=1)  # (outcome, node, expert)
+    # (outcome, node, expert); an unreached node reads column 0
+    lik = ec.log_lik.transpose(0, 2, 1).take(np.maximum(columns, 0), axis=1)
     prob, player = np.ones(1), np.zeros(1)
     experts = np.zeros((1, ec.n_experts))  # (prefix, expert)
-    masked = not open_branch.all()
     reached = np.ones(1, dtype=bool)
     for t in range(1, n + 1):
         level = BinaryTree.level_slice(t)
+        if check:
+            xs, cols = s.context_tree.level(t), columns[level]
+            hs = None if static else next(histories)
+            for q in np.flatnonzero(reached & (cols < 0) if static else reached):
+                if (cols[q] == -2 if static
+                        else xs[q] not in g.availability.available(hs[q])):
+                    raise ValueError("context tree inconsistent with availability rule")
+                if cols[q] < 0:
+                    ec.context_index(xs[q])  # raises KeyError
         prob = (prob * branch[:, level]).ravel()
         player = (player + losses[:, level]).ravel()
         experts = (experts - lik[:, level]).reshape(-1, ec.n_experts)
@@ -509,15 +510,14 @@ def random_dual_strategy(g: GameInstance, rng) -> DualStrategy:
     # Context at (t, prefix) must be valid for every history reaching the
     # node; with the built-in rules availability depends on outcomes only,
     # so picking per-prefix (outcomes determine the prefix) is consistent.
-    histories = [()]
-    for t in range(1, n + 1):
+    for t, histories in enumerate(_level_histories(ctx), 1):
         options = [g.availability.available(h) for h in histories]
-        picks = rng.integers([len(xs) for xs in options])
+        sizes = [len(xs) for xs in options]
+        if 0 in sizes:
+            raise ValueError("availability must never be empty")
         level = ctx.level(t)
-        for q, (xs, i) in enumerate(zip(options, picks)):
+        for q, (xs, i) in enumerate(zip(options, rng.integers(sizes))):
             level[q] = xs[i]
-        if t < n:
-            histories = _child_histories(histories, level)
     return DualStrategy(context_tree=ctx, prob_tree=prob)
 
 
@@ -634,7 +634,7 @@ def run_strategy(g: GameInstance, strategy, adversary) -> RegretTrace:
         if x not in g.availability.available(history):
             raise ValueError("adversary played an unavailable context")
         p_hat = strategy.predict(history, x)
-        y = adversary.outcome(history, p_hat)
+        y = _outcome(adversary.outcome(history, p_hat))
         predictions.append(p_hat)
         contexts.append(x)
         outcomes.append(y)

@@ -283,6 +283,20 @@ def test_cover_gamma_error_not_hidden_by_greedy_fallback(tmp_path, capsys):
         assert "gamma must be finite and >= 0" in capsys.readouterr().err
 
 
+def test_cover_class_of_several_contexts_exits_2(tmp_path, capsys):
+    # the covered tree shows one context everywhere, so the other would go
+    # unread: at gamma 0.3 this class would cover with 2 in one context
+    # order and 1 in the other
+    columns = {"a": (0.1, 0.9), "b": (0.5, 0.6)}
+    for order in ("ab", "ba"):
+        path = tmp_path / f"{order}.json"
+        experts = [[columns[x][f] for x in order] for f in range(2)]
+        path.write_text(json.dumps({"contexts": list(order), "experts": experts}))
+        assert main(["cover", "--class", str(path), "--n", "2",
+                     "--gammas", "0.3"]) == 2
+        assert "needs a class with one context, got 2" in capsys.readouterr().err
+
+
 def test_cover_input_errors_exit_2(capsys):
     assert main(["cover", "--dim", "2"]) == 2
     assert "dim=1" in capsys.readouterr().err

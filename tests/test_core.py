@@ -120,6 +120,12 @@ def test_expert_class_log_lik_table():
     assert np.array_equal(
         ec.history_log_lik([], start=np.array([1.0, 2.0])), [1.0, 2.0]
     )
+    # a bool or numpy integer is that outcome; nothing else is an outcome
+    for y in (True, np.int64(1), np.True_):
+        assert np.array_equal(ec.history_log_lik([("b", y)]), ec.log_lik[1, :, 1])
+    for y in (-1, 2, None, 1.0, "1"):
+        with pytest.raises(ValueError, match="outcome must be 0 or 1"):
+            ec.history_log_lik([("b", y)])
 
 
 def test_expert_class_is_read_only():

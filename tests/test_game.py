@@ -463,10 +463,16 @@ def test_unreachable_histories_same_message_on_both_tables():
     count = GameInstance(3, ec, StaticContexts(["a"]))
     hist = GameInstance(3, ec, _SameEveryRound(["a"]))
     for history in ((("b", 1),), (("a", 2),), (("a", 0), ("c", 1)),
-                    (("a", 1.0),), (("a", "1"),), ((["a"], 0),)):
+                    (("a", 1.0),), (("a", "1"),), ((["a"], 0),),
+                    (("a", -1),), (("a", None),)):
         got = _or_error(optimal_prediction, count, history, "a")
         assert got == "history not reachable under the availability rule"
         assert _or_error(optimal_prediction, hist, history, "a") == got
+    # a bool or numpy integer outcome is that outcome on both tables
+    for g in (count, hist):
+        one = optimal_prediction(g, (("a", 1),), "a")
+        for y in (True, np.int64(1)):
+            assert optimal_prediction(g, (("a", y),), "a") == one
     ctx = [(), (0,), (1,)]
     prev = GameInstance(2, ExpertClass(ctx, np.full((2, 3), 0.5)),
                         PreviousOutcomes())
@@ -700,6 +706,16 @@ def test_constant_strategy_and_stochastic_adversary():
     assert trace.regret >= 0.0 or trace.best_expert_loss > trace.player_loss
 
 
+def test_run_strategy_rejects_outcomes_other_than_0_or_1():
+    g = GameInstance(horizon=1, expert_class=ExpertClass.constants([0.9, 0.8]))
+    regrets = [run_strategy(g, ConstantStrategy(0.9), FixedSequence([0], [y])).regret
+               for y in (0, 1, True)]
+    assert regrets == [pytest.approx(math.log(2)), 0.0, 0.0]
+    for y in (-1, 2, None, 1.0, "1"):
+        with pytest.raises(ValueError, match="outcome must be 0 or 1"):
+            run_strategy(g, ConstantStrategy(0.9), FixedSequence([0], [y]))
+
+
 def test_previous_outcomes_rule():
     # experts keyed by the outcome history; markov-style availability
     contexts = [()]
@@ -858,11 +874,18 @@ def test_bayes_mixture_once_every_expert_is_ruled_out():
 def _random_dual_instance(rng, kind, exact_branches):
     """kind: k contexts under StaticContexts; "previous"; "subset", a rule
     offering 2 of 3 contexts, with one node set to the third; "missing", a
-    rule offering a context the class lacks.  With exact_branches, about
-    30% of the branch probabilities are exactly 0 or 1; without, the tree
-    is random_dual_strategy's uniform one, which has no zero branch."""
+    rule offering a context the class lacks; "ragged", _Ragged(3), with one
+    node set to context 2, which the rule offers at some nodes only.  With
+    exact_branches, about 30% of the branch probabilities are exactly 0 or
+    1; without, the tree is random_dual_strategy's uniform one, which has
+    no zero branch."""
     n = int(rng.integers(1, 10))
-    if kind == "previous":
+    if kind == "ragged":
+        ec = ExpertClass(
+            contexts=[0, 1, 2], experts=_with_exact_zeros_and_ones(rng, (3, 3))
+        )
+        g = GameInstance(horizon=n, expert_class=ec, availability=_Ragged(3))
+    elif kind == "previous":
         contexts = [
             c for m in range(n) for c in itertools.product((0, 1), repeat=m)
         ]
@@ -890,8 +913,9 @@ def _random_dual_instance(rng, kind, exact_branches):
         s.prob_tree.values[:] = _with_exact_zeros_and_ones(
             rng, s.prob_tree.values.size
         )
-    if kind == "subset":
-        s.context_tree.values[rng.integers(s.context_tree.values.size)] = 1
+    if kind in ("subset", "ragged"):
+        node = rng.integers(s.context_tree.values.size)
+        s.context_tree.values[node] = 1 if kind == "subset" else 2
     return g, s
 
 
@@ -903,7 +927,7 @@ def _value_or_error(dual, g, s):
         return type(e)
 
 
-@pytest.mark.parametrize("kind", [1, 2, "previous", "subset", "missing"])
+@pytest.mark.parametrize("kind", [1, 2, "previous", "subset", "missing", "ragged"])
 def test_dual_value_matches_per_path_loop(kind):
     rng = np.random.default_rng(31)
     seen = set()
@@ -918,9 +942,61 @@ def test_dual_value_matches_per_path_loop(kind):
             assert got == pytest.approx(ref, rel=1e-12, abs=1e-300)
         else:
             assert (math.isnan(got) and math.isnan(ref)) or got == ref
-    # "subset": the unoffered node is reached, or only through a zero branch
-    errors = {"subset": {ValueError}, "missing": {KeyError}}.get(kind, set())
+    # "subset", "ragged": the unoffered node is reached, or only through a
+    # zero branch (or, "ragged", offered there after all)
+    errors = {"subset": {ValueError}, "missing": {KeyError},
+              "ragged": {ValueError}}.get(kind, set())
     assert seen == {float} | errors
+
+
+class _Counting(_Ragged):
+    """_Ragged that records every history it is asked about."""
+
+    def __init__(self, k):
+        super().__init__(k)
+        self.asked = []
+
+    def available(self, history):
+        self.asked.append(history)
+        return super().available(history)
+
+
+def test_dual_value_asks_available_once_per_reached_node():
+    rng = np.random.default_rng(12)
+    for n in range(1, 8):
+        g = GameInstance(n, ExpertClass([0, 1, 2], np.full((2, 3), 0.5)), _Counting(3))
+        s = random_dual_strategy(g, rng)
+        s.prob_tree.values[:] = _with_exact_zeros_and_ones(rng, (1 << n) - 1)
+        # the nodes that no branch of probability exactly 0 cuts off, by
+        # level, then prefix
+        want = []
+        for t in range(1, n + 1):
+            for q in range(1 << (t - 1)):
+                history = []
+                for r in range(1, t):
+                    y, node = (q >> (r - 1)) & 1, q % (1 << (r - 1))
+                    p = s.prob_tree.get(r, node)
+                    if (p if y else 1.0 - p) == 0.0:
+                        break
+                    history.append((s.context_tree.get(r, node), y))
+                else:
+                    want.append(tuple(history))
+        g.availability.asked.clear()
+        got = dual_value(g, s)
+        assert g.availability.asked == want
+        assert got == pytest.approx(reference_dual_value(g, s), rel=1e-12)
+
+
+def test_random_dual_strategy_rejects_empty_availability():
+    class Emptying(_Ragged):
+        def available(self, history):
+            return () if len(history) == 2 else super().available(history)
+
+    g = GameInstance(4, ExpertClass([0, 1], np.full((1, 2), 0.5)), Emptying(2))
+    with pytest.raises(ValueError, match="availability must never be empty"):
+        random_dual_strategy(g, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="availability must never be empty"):
+        exact_minimax(g)
 
 
 def test_dual_path_guard_before_drawing():
