@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import kl_bernoulli, log_loss
+from .core import _loglog_slope, kl_bernoulli, log_loss
 
 __all__ = [
     "AssouadClass",
@@ -284,7 +284,7 @@ def scaling_experiment(
     regrets = np.zeros((len(ns), len(seeds)))
     epsilons = []
     for i, n in enumerate(ns):
-        eps = n ** (-1.0 / (p + 1.0)) / 8.0
+        _, eps = lower_bound_value(p, n)
         epsilons.append(eps)
         ac = build_assouad_class(dim, eps)
         for j, seed in enumerate(seeds):
@@ -295,14 +295,11 @@ def scaling_experiment(
             strat = strategy_factory(ac)
             regrets[i, j] = _sign_class_regret(ac, strat, dataset)
     medians = np.median(regrets, axis=1)
-    if np.any(medians <= 0):
-        raise ValueError("nonpositive median regret; cannot fit a slope")
-    slope = float(np.polyfit(np.log(ns), np.log(medians), 1)[0])
     return ScalingResult(
         p=p,
         ns=ns,
         epsilons=epsilons,
         regrets=regrets,
         medians=medians,
-        slope=slope,
+        slope=_loglog_slope(ns, medians),
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ESTIMATION_CONSTANT
+from .core import ESTIMATION_CONSTANT, _loglog_slope
 from .cover import EntropyCurve
 
 __all__ = [
@@ -344,6 +344,15 @@ def rate_exponents(p: float) -> RateReport:
     )
 
 
+def _check_has_rate(H: EntropyCurve) -> None:
+    """Raise if the power or log curve H is identically zero: its bounds are
+    0 at every n, so a sweep reads the optimisers' stopping points, whose
+    slopes say nothing about the bounds."""
+    if (H.C if H.kind == "power" else H.d) == 0.0:
+        raise ValueError("a rate fit needs an entropy curve that is not "
+                         "identically zero: its bounds are 0 at every n")
+
+
 def fit_rate_exponent(bound: str, C: float, p: float, n_grid) -> float:
     """Least-squares slope of log(bound value) against log(n)."""
     n_grid = [int(n) for n in n_grid]
@@ -352,6 +361,7 @@ def fit_rate_exponent(bound: str, C: float, p: float, n_grid) -> float:
     if len(set(n_grid)) != len(n_grid):
         raise ValueError("degenerate grid")
     H = EntropyCurve.power(C, p)
+    _check_has_rate(H)
     vals = []
     for n in n_grid:
         if bound == "self_concordance":
@@ -361,5 +371,4 @@ def fit_rate_exponent(bound: str, C: float, p: float, n_grid) -> float:
         else:
             raise ValueError(f"unknown bound: {bound!r}")
         vals.append(v)
-    logn = np.log([float(n) for n in n_grid])  # ints from 2^63 make an object array
-    return float(np.polyfit(logn, np.log(vals), 1)[0])
+    return _loglog_slope(n_grid, vals)

@@ -24,7 +24,7 @@ from . import bounds as bounds_mod
 from . import cover as cover_mod
 from . import game as game_mod
 from . import verify as verify_mod
-from .core import BinaryTree, ExpertClass
+from .core import BinaryTree, ExpertClass, _loglog_slope
 
 __all__ = ["main"]
 
@@ -255,14 +255,13 @@ def _cmd_cover(args):
         }
         _emit(report, rows, ("gamma", "size", "exact"), args)
         return 0
-    fam = cover_mod.LipschitzGridFamily(dim=args.dim)
+    fam = cover_mod.LipschitzGridFamily()
     curve = cover_mod.entropy_curve_estimate(fam, gammas, n=0)
     rows = list(zip(curve.gammas.tolist(), curve.lowers.tolist(),
                     curve.uppers.tolist()))
     report = {
         "subcommand": "cover",
         "family": "lipschitz-grid",
-        "dim": args.dim,
         "slope": curve.slope,
         "curve": [
             {"gamma": g, "lower": lo, "upper": up} for g, lo, up in rows
@@ -278,11 +277,8 @@ def _cmd_bounds(args):
     ns = _parse_n_grid(args.n_grid)
     if args.fit and len(set(ns)) < 2:
         raise ValueError("--fit needs at least two distinct horizons")
-    if args.fit and (H.C if H.kind == "power" else H.d) == 0.0:
-        # both bounds are 0 at every n; the sweep reads the optimisers'
-        # stopping points, whose slopes say nothing about the bounds
-        raise ValueError("--fit needs a nonzero entropy curve: "
-                         f"{args.entropy!r} is identically zero")
+    if args.fit:
+        bounds_mod._check_has_rate(H)
     rows = []
     for n in ns:
         sc, _ = bounds_mod.self_concordance_bound(H, n)
@@ -297,14 +293,10 @@ def _cmd_bounds(args):
         ],
     }
     if args.fit:
-        logn = np.log([float(r[0]) for r in rows])
+        _, sc, tr = zip(*rows)
         report["fit"] = {
-            "self_concordance_slope": float(
-                np.polyfit(logn, np.log([r[1] for r in rows]), 1)[0]
-            ),
-            "truncation_slope": float(
-                np.polyfit(logn, np.log([r[2] for r in rows]), 1)[0]
-            ),
+            "self_concordance_slope": _loglog_slope(ns, sc),
+            "truncation_slope": _loglog_slope(ns, tr),
         }
     _emit(report, rows, ("n", "self_concordance", "truncation"), args)
     return 0
@@ -421,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("cover", help="covering numbers and entropy curves")
     sp.add_argument("--class", dest="class_file", default=None)
     sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--dim", type=int, default=1)
     sp.add_argument("--gammas", default="0.25,0.125,0.0625")
     _add_common(sp)
     sp.set_defaults(func=_cmd_cover)

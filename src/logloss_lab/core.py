@@ -176,7 +176,7 @@ class ExpertClass:
     def context_index(self, context) -> int:
         try:
             return self._index[context]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable value is no context id
             raise KeyError(f"unknown context id: {context!r}") from None
 
     def value(self, expert: int, context) -> float:
@@ -209,19 +209,9 @@ def _outcome(y) -> int:
     raise ValueError(f"outcome must be 0 or 1, got {y!r}")
 
 
-def _as_float_array(x):
-    return np.asarray(x, dtype=float)
-
-
 def _is_0d(x) -> bool:
     """np.ndim(x) == 0, answered without numpy for Python and numpy scalars."""
     return isinstance(x, (int, float, np.generic)) or np.ndim(x) == 0
-
-
-def _maybe_scalar(out, *inputs):
-    if all(_is_0d(i) for i in inputs):
-        return float(out)
-    return out
 
 
 # One block size and one cutter (_block_values) for all grid-sized work: the
@@ -288,6 +278,25 @@ def _elementwise(expr, *arrays):
     return out
 
 
+def _kernel(expr, *inputs):
+    """An array kernel: expr over the inputs as float arrays, through
+    _elementwise; a float when every input is 0-d."""
+    out = _elementwise(expr, *(np.asarray(x, dtype=float) for x in inputs))
+    return float(out) if all(_is_0d(x) for x in inputs) else out
+
+
+def _loglog_slope(xs, ys) -> float:
+    """Least-squares slope of log(ys) against log(xs).  xs are taken as
+    floats before the log, since Python ints from 2^63 on would make an
+    object array; every y must be finite and positive."""
+    ys = np.asarray(ys, dtype=float)
+    if not np.all(np.isfinite(ys) & (ys > 0)):
+        raise ValueError(f"cannot fit a log-log slope to values that are not "
+                         f"all finite and positive: {ys.tolist()}")
+    xs = np.asarray(xs, dtype=float)
+    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
+
+
 def _log_loss(p, y):
     with np.errstate(divide="ignore"):
         return np.where(y == 1, -np.log(p), -np.log1p(-p))
@@ -305,10 +314,7 @@ def log_loss(p, y):
         if y == 1:
             return math.inf if p == 0 else float(-np.log(p))
         return math.inf if p == 1 else float(-np.log1p(-p))
-    p = _as_float_array(p)
-    yv = _as_float_array(y)
-    out = _elementwise(_log_loss, p, yv)
-    return _maybe_scalar(out, p, y)
+    return _kernel(_log_loss, p, y)
 
 
 def _eta(p, y):
@@ -318,10 +324,7 @@ def _eta(p, y):
 
 def eta(p, y):
     """First derivative of the log loss in the prediction: -y/p + (1-y)/(1-p)."""
-    p = _as_float_array(p)
-    yv = _as_float_array(y)
-    out = _elementwise(_eta, p, yv)
-    return _maybe_scalar(out, p, y)
+    return _kernel(_eta, p, y)
 
 
 def _phi(z):
@@ -330,9 +333,7 @@ def _phi(z):
 
 def phi(z):
     """z - |z| + log(1 + |z|); the self-concordance surrogate for regret."""
-    z = _as_float_array(z)
-    out = _elementwise(_phi, z)
-    return _maybe_scalar(out, z)
+    return _kernel(_phi, z)
 
 
 def _omega(z):
@@ -343,9 +344,7 @@ def _omega(z):
 
 def omega(z):
     """z - log(1 + z) for z >= 0."""
-    z = _as_float_array(z)
-    out = _elementwise(_omega, z)
-    return _maybe_scalar(out, z)
+    return _kernel(_omega, z)
 
 
 def _kl_bernoulli(p, q):
@@ -363,19 +362,14 @@ def _kl_bernoulli(p, q):
 def kl_bernoulli(p, q):
     """KL divergence between Ber(p) and Ber(q), with the 0 log 0 = 0
     convention; +inf when q puts zero mass where p does not."""
-    p = _as_float_array(p)
-    q = _as_float_array(q)
-    out = _elementwise(_kl_bernoulli, p, q)
-    return _maybe_scalar(out, p, q)
+    return _kernel(_kl_bernoulli, p, q)
 
 
 def clip_prob(p, delta):
     """Clip p into [delta, 1 - delta]; costs at most 2*delta in loss."""
     if not 0 < delta <= 0.5:
         raise ValueError("delta must lie in (0, 1/2]")
-    p = _as_float_array(p)
-    out = np.clip(p, delta, 1.0 - delta)
-    return _maybe_scalar(out, p)
+    return _kernel(lambda p: np.clip(p, delta, 1.0 - delta), p)
 
 
 def _psi(p, v, lam):
@@ -408,7 +402,4 @@ def psi(p, lam, v):
     """
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"lambda must be finite and positive, got {lam!r}")
-    p = _as_float_array(p)
-    v = _as_float_array(v)
-    out = _elementwise(lambda p, v: _psi(p, v, lam), p, v)
-    return _maybe_scalar(out, p, v)
+    return _kernel(lambda p, v: _psi(p, v, lam), p, v)

@@ -41,11 +41,11 @@ _TOL = 1e-12
 
 @dataclass
 class RestrictedClass:
-    """An expert class composed with a context tree: one value tree per
-    expert."""
+    """An expert class composed with a context tree: `values[g]` holds
+    expert g's value at every node, in flat node order."""
 
     context_tree: BinaryTree
-    value_trees: list  # list of BinaryTree, one per expert
+    values: np.ndarray  # (n_experts, n_nodes), read-only
 
     @property
     def depth(self) -> int:
@@ -53,16 +53,12 @@ class RestrictedClass:
 
     @property
     def n_experts(self) -> int:
-        return len(self.value_trees)
+        return len(self.values)
 
     @property
     def n_demands(self) -> int:
         """Distinct (path, expert) demands: 2^(depth-1) paths per expert."""
         return (1 << (self.depth - 1)) * self.n_experts
-
-    def value_matrix(self) -> np.ndarray:
-        """(n_experts, n_nodes) node values."""
-        return np.array([t.values for t in self.value_trees], dtype=float)
 
 
 @dataclass
@@ -74,8 +70,8 @@ class SequentialCover:
 def restrict(expert_class: ExpertClass, x: BinaryTree) -> RestrictedClass:
     cols = [expert_class.context_index(c) for c in x.values]
     vals = expert_class.experts[:, cols]  # one class column per node
-    trees = [BinaryTree(x.depth, values=row) for row in vals]
-    return RestrictedClass(context_tree=x, value_trees=trees)
+    vals.flags.writeable = False
+    return RestrictedClass(context_tree=x, values=vals)
 
 
 @functools.lru_cache(maxsize=32)
@@ -99,7 +95,7 @@ def cover_verify(rc: RestrictedClass, V: SequentialCover) -> bool:
     if not V.elements:
         return False
     idx = _distinct_paths(rc.depth)
-    g = rc.value_matrix()
+    g = rc.values
     v = np.stack([e.values.astype(float) for e in V.elements])
     step = max(1, core._BLOCK // (len(g) * len(v) * rc.depth))
     for start in range(0, len(idx), step):
@@ -219,7 +215,7 @@ def _midpoint_cover(depth: int, gamma: float, lo, hi) -> SequentialCover:
 def sequential_cover_greedy(rc: RestrictedClass, gamma: float) -> SequentialCover:
     """First-fit grouping of (path, expert) demands; always a valid cover."""
     _check_gamma(gamma)
-    lo, hi = _first_fit(rc.value_matrix(), rc.depth, gamma)
+    lo, hi = _first_fit(rc.values, rc.depth, gamma)
     return _midpoint_cover(rc.depth, gamma, lo, hi)
 
 
@@ -230,7 +226,7 @@ def sequential_cover_exact(rc: RestrictedClass, gamma: float):
     _check_gamma(gamma)
     if rc.depth > 3 or rc.n_experts > 8:
         raise ValueError("exact cover search limited to depth <= 3, |F| <= 8")
-    gvals = rc.value_matrix()
+    gvals = rc.values
     labels, size = _fewest_groups(_demand_conflicts(gvals, rc.depth, gamma))
     idx = _distinct_paths(rc.depth)
     at = np.reshape(labels, (len(idx), -1, 1)), idx[:, None]  # [y, g, t]
@@ -261,7 +257,7 @@ def empirical_entropy_lower(rc: RestrictedClass, gamma: float) -> float:
     vectors on that path, the chromatic number of its expert conflict graph
     (a packing lower bound past 12 experts); lower-bounds the entropy."""
     _check_gamma(gamma)
-    gvals = rc.value_matrix()
+    gvals = rc.values
     if rc.n_experts <= 12:
         apart = _path_conflicts(gvals, rc.depth, gamma)[:, -1]
         best = max(_fewest_groups(_bitmasks(a))[1] for a in apart)
@@ -470,13 +466,7 @@ class EntropyCurve:
 class LipschitzGridFamily:
     """1-Lipschitz functions on [0,1] on a grid of spacing 4*gamma, valued
     on a lattice of step 2*gamma: walks that move at most two lattice steps
-    between grid points (gamma < 1).  Only dim == 1 exists."""
-
-    dim: int = 1
-
-    def __post_init__(self):
-        if self.dim != 1:
-            raise ValueError(f"Lipschitz grid family needs dim=1, got {self.dim}")
+    between grid points (gamma < 1)."""
 
 
 CELL_GUARD = 10**6  # bounds one curve scale's grid points x lattice levels
@@ -538,7 +528,6 @@ def entropy_curve_estimate(
     ok = mids > 0
     curve.slope = float("nan")
     if ok.sum() >= 2:
-        xs = np.log(1.0 / curve.gammas)
-        curve.slope = float(np.polyfit(xs[ok], np.log(mids[ok]), 1)[0])
+        curve.slope = core._loglog_slope(1.0 / curve.gammas[ok], mids[ok])
     curve.counts = counts
     return curve

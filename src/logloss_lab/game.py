@@ -79,6 +79,10 @@ class StaticContexts(AvailabilityRule):
         contexts = tuple(contexts)
         if not contexts:
             raise ValueError("availability must never be empty")
+        try:
+            set(contexts)
+        except TypeError:
+            raise ValueError("context ids must be hashable") from None
         self.contexts = contexts
 
     def available(self, history):
@@ -398,11 +402,20 @@ def _check_paths(n: int) -> None:
         raise ValueError("too many paths for exact dual evaluation")
 
 
+def _lookup(index: dict, keys: list, missing: int) -> np.ndarray:
+    """index.get(key, missing) for every key, as an intp array; an
+    unhashable key is no context id, so it too reads `missing`."""
+    try:
+        columns = map(index.get, keys, itertools.repeat(missing))
+        return np.fromiter(columns, dtype=np.intp, count=len(keys))
+    except TypeError:
+        return np.array([_get(index, x, missing) for x in keys], dtype=np.intp)
+
+
 def _columns(ec: ExpertClass, edges) -> np.ndarray:
     """Class column of every edge's context; KeyError for the first context
     the class lacks."""
-    columns = map(ec._index.get, edges, itertools.repeat(-1))
-    cols = np.fromiter(columns, dtype=np.intp, count=len(edges))
+    cols = _lookup(ec._index, edges, -1)
     if cols.min() < 0:
         ec.context_index(edges[int(np.argmin(cols))])
     return cols
@@ -415,12 +428,7 @@ def _node_columns(g: GameInstance, context_tree: BinaryTree) -> np.ndarray:
     index, missing = g.expert_class._index, -1
     if _static(g):
         index, missing = {x: index.get(x, -1) for x in g.availability.contexts}, -2
-    nodes = context_tree.values.tolist()
-    try:
-        columns = map(index.get, nodes, itertools.repeat(missing))
-        return np.fromiter(columns, dtype=np.intp, count=len(nodes))
-    except TypeError:  # an unhashable node value is no context id
-        return np.array([_get(index, x, missing) for x in nodes], dtype=np.intp)
+    return _lookup(index, context_tree.values.tolist(), missing)
 
 
 def _get(index, x, missing):

@@ -157,6 +157,15 @@ def test_fit_validation():
         fit_rate_exponent("self_concordance", 1.0, 2.0, [16] * 8)
 
 
+def test_fit_of_zero_curve_has_no_rate():
+    # the sweep of a zero curve reads the optimisers' stopping points (slopes
+    # 0.519 and 1.000 here), not the bounds, which are 0 at every n
+    ns = [2**k for k in range(10, 16)]
+    for bound in ("self_concordance", "truncation"):
+        with pytest.raises(ValueError, match="identically zero"):
+            fit_rate_exponent(bound, 0.0, 2.0, ns)
+
+
 # ---------------------------------------------------------------------------
 # Reference: the per-evaluation objective and coordinate-descent loop that the
 # one-coordinate line searches replace, with the power-curve integrals and

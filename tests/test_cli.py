@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ import logloss_lab
 from logloss_lab import verify as verify_mod
 from logloss_lab.assouad import BatchEstimator, lower_bound_value
 from logloss_lab.bounds import rate_exponents
-from logloss_lab.cli import _parse_entropy, _parse_n_grid, main
+from logloss_lab.cli import _parse_entropy, _parse_n_grid, build_parser, main
 from logloss_lab.core import ExpertClass, psi
 from logloss_lab.game import BayesMixture, GameInstance, exact_minimax
 
@@ -226,8 +228,7 @@ def test_cover_class_greedy_stays_linear_in_demands(class_file):
 
 def test_cover_curve_reports_counts(tmp_path):
     out = tmp_path / "curve.json"
-    code = main(["cover", "--dim", "1", "--gammas", "0.25,0.125",
-                 "--out", str(out)])
+    code = main(["cover", "--gammas", "0.25,0.125", "--out", str(out)])
     assert code == 0
     report = json.loads(out.read_text())
     assert report["counts"] == [
@@ -298,8 +299,8 @@ def test_cover_class_of_several_contexts_exits_2(tmp_path, capsys):
 
 
 def test_cover_input_errors_exit_2(capsys):
-    assert main(["cover", "--dim", "2"]) == 2
-    assert "dim=1" in capsys.readouterr().err
+    assert main(["cover", "--dim", "1"]) == 2  # the family has one dimension
+    assert "unrecognized arguments: --dim" in capsys.readouterr().err
     assert main(["cover", "--gammas", "0"]) == 2
     assert "finite and positive" in capsys.readouterr().err
     assert main(["cover", "--gammas", "1e-300"]) == 2
@@ -542,3 +543,24 @@ def test_exit_code_internal_error(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_cmd_bounds", raising(ValueError("bad input")))
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: bad input\n"
+
+
+def test_config_with_dim_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cover.json"
+    cfg.write_text(json.dumps({"subcommand": "cover", "dim": 1}))
+    assert main(["--config", str(cfg)]) == 2
+    assert "unknown config keys: ['dim']" in capsys.readouterr().err
+
+
+def test_readme_flags_table_matches_parsers():
+    # each subcommand's row names exactly the flags its parser takes, beyond
+    # the four that every subcommand shares
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", readme, re.M))
+    common = {"--out", "--format", "--config", "--emit-config", "--help"}
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    assert set(rows) == set(subparsers)
+    for name, sp in subparsers.items():
+        flags = {f for a in sp._actions for f in a.option_strings
+                 if f.startswith("--")}
+        assert set(re.findall(r"--[a-z][a-z-]*", rows[name])) == flags - common, name

@@ -94,6 +94,16 @@ def test_expert_class_basics():
     assert dup.has_duplicate_experts
 
 
+def test_unhashable_context_id_is_unknown():
+    ec = ExpertClass(contexts=[0, 1], experts=[[0.3, 0.6]])
+    for lookup in (lambda: ec.context_index([1]), lambda: ec.column([1]),
+                   lambda: ec.value(0, [1]),
+                   lambda: ec.history_log_lik([(0, 1), ([1], 0)])):
+        with pytest.raises(KeyError) as err:
+            lookup()
+        assert str(err.value) == repr("unknown context id: [1]")
+
+
 def test_expert_class_validation():
     with pytest.raises(ValueError):
         ExpertClass(contexts=[0], experts=[[1.5]])
@@ -269,6 +279,7 @@ KERNELS = {
     "phi": lambda a, b: phi(40.0 * a - 20.0 * b),
     "omega": lambda a, b: omega(50.0 * a * b),
     "kl_bernoulli": kl_bernoulli,
+    "clip_prob": lambda a, b: clip_prob(a * b, 0.1),
     "psi": lambda a, b: psi(a, 0.31, a - b),
 }
 
@@ -357,8 +368,18 @@ def test_blocked_kernel_errors_raise_from_a_late_block():
 
 def test_scalar_kernel_calls_return_floats():
     for got in (log_loss(0.3, 1), eta(0.3, 0), phi(-2.0), omega(2.0),
-                kl_bernoulli(0.2, 0.4), psi(0.4, 0.3, 0.1),
+                kl_bernoulli(0.2, 0.4), psi(0.4, 0.3, 0.1), clip_prob(0.3, 0.1),
                 phi(np.float64(1.5)), log_loss(np.array(0.25), np.array(1))):
         assert type(got) is float
     assert log_loss(0.0, 1) == math.inf
     assert psi(0.4, 0.3, 0.1) == float(psi(np.array([0.4]), 0.3, np.array([0.1]))[0])
+
+
+def test_loglog_slope():
+    # ints past 2^63 are taken as floats, not as an object array
+    ns = [2**k for k in range(60, 71)]
+    assert core_mod._loglog_slope(ns, [float(n) ** 0.75 for n in ns]) == (
+        pytest.approx(0.75, abs=1e-12))
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            core_mod._loglog_slope([1, 2, 4], [1.0, bad, 3.0])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 import warnings
 
@@ -37,12 +38,23 @@ def test_restrict_values():
     x = BinaryTree.from_function(2, lambda t, bits: "a" if t == 1 else "b")
     rc = restrict(ec, x)
     assert rc.n_experts == 1
-    assert list(rc.value_trees[0].values) == [0.2, 0.8, 0.8]
+    assert rc.values.tolist() == [[0.2, 0.8, 0.8]]
+    assert not rc.values.flags.writeable
+
+
+def test_restrict_unhashable_node_is_unknown_context():
+    ec = ExpertClass(contexts=[0, 1], experts=[[0.3, 0.6]])
+    x = BinaryTree(2, values=np.array([0, [1], 1], dtype=object))
+    with pytest.raises(KeyError, match=re.escape("unknown context id: [1]")):
+        restrict(ec, x)
 
 
 def test_cover_verify_accepts_class_itself():
     rc = constant_context_class([0.1, 0.5, 0.9], 3)
-    V = SequentialCover(elements=[t.copy() for t in rc.value_trees], scale=0.0)
+    V = SequentialCover(
+        elements=[BinaryTree(rc.depth, values=row) for row in rc.values],
+        scale=0.0,
+    )
     assert cover_verify(rc, V)
 
 
@@ -140,7 +152,7 @@ class _RefGroupState:
 
 
 def _ref_demands(rc):
-    gvals = rc.value_matrix()
+    gvals = rc.values
     return [(idx, gvals[g, idx]) for idx in path_node_indices(rc.depth)
             for g in range(rc.n_experts)]
 
@@ -197,7 +209,7 @@ def _ref_exact_size(rc, gamma):
 def _ref_cover_verify(rc, V):
     if not V.elements:
         return False
-    gvals = rc.value_matrix()
+    gvals = rc.values
     vvals = np.stack([v.values.astype(float) for v in V.elements])
     for idx in path_node_indices(rc.depth):
         g_on_path, v_on_path = gvals[:, idx], vvals[:, idx]
@@ -236,7 +248,7 @@ def _ref_linf_cover_size(points, gamma):
 
 
 def _ref_empirical_lower(rc, gamma):
-    gvals = rc.value_matrix()
+    gvals = rc.values
     best = max(_ref_linf_cover_size(gvals[:, idx], gamma)
                for idx in path_node_indices(rc.depth))
     return math.log(best)
@@ -303,7 +315,7 @@ def test_verify_in_blocks_and_deep_greedy_match_reference(monkeypatch):
 
 def test_depth_three_demands_are_distinct_paths():
     rc = _random_class(np.random.default_rng(1), 3, 2, 5)
-    masks = _demand_conflicts(rc.value_matrix(), rc.depth, 0.1)
+    masks = _demand_conflicts(rc.values, rc.depth, 0.1)
     # 2^(3-1) distinct node paths, not the 2^3 rows of path_node_indices
     assert len(masks) == rc.n_demands == 4 * 5
     assert len(np.unique(path_node_indices(3), axis=0)) == 4
@@ -334,7 +346,7 @@ def test_exact_cover_stops_at_clique_size():
     ec = ExpertClass(contexts=[0, 1], experts=rng.uniform(size=(8, 2)))
     nodes = rng.integers(0, 2, size=7).astype(object)
     rc = restrict(ec, BinaryTree(3, values=nodes))
-    masks = _demand_conflicts(rc.value_matrix(), 3, 0.1)
+    masks = _demand_conflicts(rc.values, 3, 0.1)
     assert cover_mod._clique_size(masks) == 7
     start = time.perf_counter()
     size, cov = sequential_cover_exact(rc, 0.1)
@@ -495,11 +507,6 @@ def test_lipschitz_enumeration_small():
     assert np.all((vals >= 0) & (vals <= 1))
     # all enumerated functions distinct
     assert len({tuple(v) for v in vals}) == vals.shape[0]
-
-
-def test_lipschitz_dim_guard():
-    with pytest.raises(ValueError, match="dim=1"):
-        LipschitzGridFamily(dim=2)
 
 
 def test_entropy_estimate_sandwich_and_slope():

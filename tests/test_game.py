@@ -419,6 +419,26 @@ def test_missing_prefix_same_error_on_both_builds():
         assert messages == [repr(f"unknown context id: {missing!r}")] * 2
 
 
+def test_unhashable_context_id_is_unknown():
+    ec = ExpertClass(contexts=[0, 1], experts=[[0.3, 0.6], [0.7, 0.2]])
+
+    class Offers(AvailabilityRule):
+        def available(self, history):
+            return (0, [1]) if history else (0,)
+
+        def max_contexts(self):
+            return 2
+
+    for call in (lambda: BayesMixture(ec).predict(((0, 1),), [1]),
+                 lambda: BayesMixture(ec).predict((([1], 1),), 0),
+                 lambda: exact_minimax(GameInstance(2, ec, Offers()))):
+        with pytest.raises(KeyError) as err:
+            call()
+        assert str(err.value) == repr("unknown context id: [1]")
+    with pytest.raises(ValueError, match="context ids must be hashable"):
+        StaticContexts([0, [1]])
+
+
 def exact_mixture_worst_case(g, strategy):
     """worst_case_search for a Bayes mixture as a loop over every full
     history, scored by the mixture's exact regret
