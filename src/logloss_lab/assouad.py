@@ -5,6 +5,11 @@ a mean value in {eps, 4*eps} per bin center, and data are drawn i.i.d.
 with x uniform over centers and y | x Bernoulli.  Averaging an online
 strategy's predictions gives a batch estimator whose KL risk connects
 regret to the n^{p/(p+1)} lower-bound rate.
+
+A strategy here is a count rule: its prediction at a center after `ones`
+ones in `total` visits there is the vectorised mean(ones, total), so it
+holds no state and the data alone give every prediction.  Besides the two
+rules below, `game.ConstantStrategy` is one.
 """
 
 from __future__ import annotations
@@ -14,14 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _loglog_slope, kl_bernoulli, log_loss
+from .core import _check_distinct_horizons, _loglog_slope, kl_bernoulli, log_loss
 
 __all__ = [
     "AssouadClass",
     "BatchEstimator",
     "build_assouad_class",
     "sample_dataset",
-    "ConstantStrategy",
     "EmpiricalMeanStrategy",
     "SignClassBayes",
     "online_to_batch",
@@ -91,47 +95,18 @@ def sample_dataset(ac: AssouadClass, v, n: int, seed: int):
     return np.stack([cids, ys], axis=1)
 
 
-class _CountStrategy:
-    """A strategy whose prediction at a center depends only on that
-    center's counts; subclasses supply the vectorised rule
-    mean(ones, total), the prediction after `ones` ones in `total` visits.
-    """
+class EmpiricalMeanStrategy:
+    """Per-center running mean with add-one smoothing: the count rule
+    (ones + 1) / (total + 2), the same on every class."""
 
     def __init__(self, ac: AssouadClass):
-        self.ones = np.zeros(ac.n_centers)
-        self.total = np.zeros(ac.n_centers)
-
-    def mean(self, ones, total):
-        raise NotImplementedError
-
-    def predict(self, cid: int) -> float:
-        return float(self.mean(self.ones[cid], self.total[cid]))
-
-    def update(self, cid: int, y: int) -> None:
-        self.ones[cid] += y
-        self.total[cid] += 1
-
-    def table(self) -> np.ndarray:
-        return self.mean(self.ones, self.total)
-
-
-class ConstantStrategy(_CountStrategy):
-    def __init__(self, ac: AssouadClass, value: float = 0.5):
-        super().__init__(ac)
-        self.value = float(value)
-
-    def mean(self, ones, total):
-        return np.full(np.shape(total), self.value)
-
-
-class EmpiricalMeanStrategy(_CountStrategy):
-    """Per-center running mean with add-one smoothing."""
+        pass
 
     def mean(self, ones, total):
         return (ones + 1.0) / (total + 2.0)
 
 
-class SignClassBayes(_CountStrategy):
+class SignClassBayes:
     """Exact Bayes mixture over the 2^N sign class, uniform prior.
 
     The prior is a product over centers and the likelihood factorizes by
@@ -141,7 +116,6 @@ class SignClassBayes(_CountStrategy):
     """
 
     def __init__(self, ac: AssouadClass):
-        super().__init__(ac)
         self.hi = 4.0 * ac.epsilon
         self.lo = ac.epsilon
 
@@ -155,42 +129,34 @@ class SignClassBayes(_CountStrategy):
         return (w_hi * self.hi + w_lo * self.lo) / (w_hi + w_lo)
 
 
-def _visits(strategy: _CountStrategy, dataset):
-    """Replay the dataset through a count-rule strategy's counts, in center
-    order.
+def _visits(dataset):
+    """Each visit of the dataset with its center's counts before it.
 
     Returns (rounds, centers, ys, ones, total), one entry per visit, sorted
     by center and, within a center, by round (a stable argsort): the
-    visit's round index, center and outcome, and the center's counts just
-    before the visit.  Leaves the strategy's counts where updating it
-    round by round would.
+    visit's round index, center and outcome, and the center's ones and
+    visits in the rounds before it, as ints.
     """
     data = np.asarray(dataset, dtype=np.int64).reshape(-1, 2)
     rounds = np.argsort(data[:, 0], kind="stable")
     centers, ys = data[rounds, 0], data[rounds, 1]
     start = np.searchsorted(centers, centers)  # each center's first visit
     seen = np.cumsum(ys) - ys
-    ones = strategy.ones[centers] + (seen - seen[start])
-    total = strategy.total[centers] + (np.arange(centers.size) - start)
-    n_centers = strategy.total.size
-    strategy.ones += np.bincount(centers, weights=ys, minlength=n_centers)
-    strategy.total += np.bincount(centers, minlength=n_centers)
-    return rounds, centers, ys, ones, total
+    return rounds, centers, ys, seen - seen[start], np.arange(centers.size) - start
 
 
 def online_to_batch(strategy, dataset, ac: AssouadClass) -> BatchEstimator:
-    """Average of the strategy's per-round prediction tables.
+    """Average of the count rule's per-round prediction tables.
 
-    The strategy must be a count rule (`ones`, `total` and a vectorised
-    `mean(ones, total)`, as the strategies here are).  A visit in round r
+    Every table starts at mean(0, 0) per center.  A visit in round r
     changes its center's entry by the difference of the means after and
     before it, and the next n - 1 - r tables show that change.
     """
     n = len(dataset)
     if n == 0:
         return BatchEstimator(np.full(ac.n_centers, 0.5))
-    acc = n * strategy.table()
-    rounds, centers, ys, ones, total = _visits(strategy, dataset)
+    acc = np.full(ac.n_centers, n * strategy.mean(0, 0))
+    rounds, centers, ys, ones, total = _visits(dataset)
     delta = strategy.mean(ones + ys, total + 1) - strategy.mean(ones, total)
     acc += np.bincount(
         centers, weights=delta * (n - 1 - rounds), minlength=ac.n_centers
@@ -239,7 +205,7 @@ def _sign_class_regret(ac: AssouadClass, strategy, dataset) -> float:
     The best competitor decomposes per center: each center independently
     picks whichever of {eps, 4 eps} has smaller total loss there.
     """
-    _, centers, ys, ones_before, total_before = _visits(strategy, dataset)
+    _, centers, ys, ones_before, total_before = _visits(dataset)
     preds = strategy.mean(ones_before, total_before)
     player = float(np.sum(log_loss(preds, ys)))
     ones = np.bincount(centers, weights=ys, minlength=ac.n_centers)
@@ -268,13 +234,14 @@ def scaling_experiment(
     """Median online regret against the sign class as n grows, with
     epsilon = n^{-1/(p+1)}/8 per cell; returns the log-log slope fit.
 
-    strategy_factory maps an AssouadClass to a fresh strategy, which must
-    be a count rule (`ones`, `total` and a vectorised `mean(ones, total)`).
+    strategy_factory maps an AssouadClass to a count rule, an object with
+    a vectorised `mean(ones, total)`.
     """
     dim = integer_dimension(p)
     ns = [int(n) for n in n_grid]
     if len(set(ns)) < 2:
         raise ValueError("need at least two distinct horizons")
+    _check_distinct_horizons(ns)
     if min(ns) < 1:
         raise ValueError(f"horizons must be >= 1, got {min(ns)}")
     check_class_horizon(min(ns))
@@ -287,13 +254,13 @@ def scaling_experiment(
         _, eps = lower_bound_value(p, n)
         epsilons.append(eps)
         ac = build_assouad_class(dim, eps)
+        strategy = strategy_factory(ac)
         for j, seed in enumerate(seeds):
             rng = np.random.default_rng([master_seed, seed, n])
             v = rng.choice([-1, 1], size=ac.n_centers)
             data_seed = int(rng.integers(0, 2**31))
             dataset = sample_dataset(ac, v, n, data_seed)
-            strat = strategy_factory(ac)
-            regrets[i, j] = _sign_class_regret(ac, strat, dataset)
+            regrets[i, j] = _sign_class_regret(ac, strategy, dataset)
     medians = np.median(regrets, axis=1)
     return ScalingResult(
         p=p,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ESTIMATION_CONSTANT, _loglog_slope
+from .core import ESTIMATION_CONSTANT, _check_distinct_horizons, _loglog_slope
 from .cover import EntropyCurve
 
 __all__ = [
@@ -358,8 +358,7 @@ def fit_rate_exponent(bound: str, C: float, p: float, n_grid) -> float:
     n_grid = [int(n) for n in n_grid]
     if len(n_grid) < 6:
         raise ValueError("need at least 6 grid points")
-    if len(set(n_grid)) != len(n_grid):
-        raise ValueError("degenerate grid")
+    _check_distinct_horizons(n_grid)
     H = EntropyCurve.power(C, p)
     _check_has_rate(H)
     vals = []

@@ -24,7 +24,7 @@ from . import bounds as bounds_mod
 from . import cover as cover_mod
 from . import game as game_mod
 from . import verify as verify_mod
-from .core import BinaryTree, ExpertClass, _loglog_slope
+from .core import BinaryTree, ExpertClass, _check_distinct_horizons, _loglog_slope
 
 __all__ = ["main"]
 
@@ -114,6 +114,8 @@ def _parse_entropy(text: str) -> cover_mod.EntropyCurve:
                 raise ValueError(
                     f"entropy spec {text!r}: {kind} takes only {', '.join(keys)}"
                 )
+            if k in params:
+                raise ValueError(f"entropy spec {text!r}: {k} given twice")
             params[k] = float(v)
     if kind == "pow":
         return cover_mod.EntropyCurve.power(
@@ -275,9 +277,10 @@ def _cmd_cover(args):
 def _cmd_bounds(args):
     H = _parse_entropy(args.entropy)
     ns = _parse_n_grid(args.n_grid)
-    if args.fit and len(set(ns)) < 2:
-        raise ValueError("--fit needs at least two distinct horizons")
     if args.fit:
+        if len(set(ns)) < 2:
+            raise ValueError("--fit needs at least two distinct horizons")
+        _check_distinct_horizons(ns)
         bounds_mod._check_has_rate(H)
     rows = []
     for n in ns:

@@ -110,9 +110,6 @@ class BinaryTree:
             raise IndexError("round out of range")
         return self.values[self.level_slice(t)]
 
-    def copy(self) -> "BinaryTree":
-        return BinaryTree(self.depth, values=self.values)
-
 
 def path_node_indices(depth: int) -> np.ndarray:
     """(2**depth, depth) array: flat node index of round t on each path.
@@ -162,16 +159,6 @@ class ExpertClass:
     @property
     def n_experts(self) -> int:
         return self.experts.shape[0]
-
-    @property
-    def has_duplicate_experts(self) -> bool:
-        seen = set()
-        for row in self.experts:
-            key = tuple(row)
-            if key in seen:
-                return True
-            seen.add(key)
-        return False
 
     def context_index(self, context) -> int:
         try:
@@ -283,6 +270,15 @@ def _kernel(expr, *inputs):
     _elementwise; a float when every input is 0-d."""
     out = _elementwise(expr, *(np.asarray(x, dtype=float) for x in inputs))
     return float(out) if all(_is_0d(x) for x in inputs) else out
+
+
+def _check_distinct_horizons(ns) -> None:
+    """Raise if a log-log fit's horizon grid repeats a horizon, which the
+    fit would weigh twice."""
+    ns = list(ns)
+    if len(set(ns)) != len(ns):
+        dup = next(n for i, n in enumerate(ns) if n in ns[:i])
+        raise ValueError(f"degenerate grid: horizon {dup} appears more than once")
 
 
 def _loglog_slope(xs, ys) -> float:

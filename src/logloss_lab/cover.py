@@ -453,14 +453,6 @@ class EntropyCurve:
             for sqrt in (False, True)
         )
 
-    def export_csv(self, path) -> None:
-        if self.kind != "tabulated":
-            raise ValueError("only tabulated curves export to CSV")
-        with open(path, "w", newline="") as f:
-            f.write("gamma,lower,upper\n")
-            for g, lo, up in zip(self.gammas, self.lowers, self.uppers):
-                f.write(f"{g!r},{lo!r},{up!r}\n")
-
 
 @dataclass
 class LipschitzGridFamily:

@@ -80,9 +80,11 @@ class StaticContexts(AvailabilityRule):
         if not contexts:
             raise ValueError("availability must never be empty")
         try:
-            set(contexts)
+            distinct = len(set(contexts))
         except TypeError:
             raise ValueError("context ids must be hashable") from None
+        if distinct != len(contexts):
+            raise ValueError("duplicate context ids")
         self.contexts = contexts
 
     def available(self, history):
@@ -159,18 +161,6 @@ class RegretTrace:
     player_loss: float
     best_expert_loss: float
     regret: float
-
-    def recompute_regret(self, expert_class: ExpertClass) -> float:
-        player = sum(
-            log_loss(p, y) for p, y in zip(self.predictions, self.outcomes)
-        )
-        best = _best_expert_loss(expert_class, self.contexts, self.outcomes)
-        return player - best
-
-
-def _best_expert_loss(ec: ExpertClass, contexts, outcomes) -> float:
-    # 0 - max, not -max: a perfect expert's loss is +0.0
-    return 0.0 - float(np.max(ec.history_log_lik(zip(contexts, outcomes))))
 
 
 def _count_levels(k: int, n: int):
@@ -580,6 +570,9 @@ class BayesMixture:
 
 
 class ConstantStrategy:
+    """The prediction p every round: a game strategy, and an Assouad count
+    rule whose mean(ones, total) is p at every center."""
+
     def __init__(self, p: float):
         if not 0 <= p <= 1:
             raise ValueError("constant prediction must lie in [0, 1]")
@@ -587,6 +580,9 @@ class ConstantStrategy:
 
     def predict(self, history, x) -> float:
         return self.p
+
+    def mean(self, ones, total):
+        return np.full(np.shape(total), self.p, dtype=float)
 
 
 class FixedSequence:
@@ -648,7 +644,8 @@ def run_strategy(g: GameInstance, strategy, adversary) -> RegretTrace:
         outcomes.append(y)
         history = history + ((x, y),)
     player = float(sum(log_loss(p, y) for p, y in zip(predictions, outcomes)))
-    best = _best_expert_loss(g.expert_class, contexts, outcomes)
+    # 0 - max, not -max: a perfect expert's loss is +0.0
+    best = 0.0 - float(np.max(g.expert_class.history_log_lik(history)))
     return RegretTrace(
         predictions=predictions,
         outcomes=outcomes,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from logloss_lab.assouad import (
-    ConstantStrategy,
     EmpiricalMeanStrategy,
     SignClassBayes,
     build_assouad_class,
@@ -16,6 +15,7 @@ from logloss_lab.assouad import (
     _sign_class_regret,
 )
 from logloss_lab.core import kl_bernoulli, log_loss
+from logloss_lab.game import ConstantStrategy
 
 
 def test_build_p1():
@@ -73,7 +73,7 @@ def test_online_to_batch_constant():
     ac = build_assouad_class(1, 0.05)
     v = np.ones(ac.n_centers, dtype=int)
     data = sample_dataset(ac, v, 20, seed=0)
-    est = online_to_batch(ConstantStrategy(ac), data, ac)
+    est = online_to_batch(ConstantStrategy(0.5), data, ac)
     assert np.allclose(est.table, 0.5)
 
 
@@ -88,11 +88,12 @@ def test_online_to_batch_empirical_learns():
 def test_bayes_posterior_moves_right_way():
     ac = build_assouad_class(1, 0.05)
     strat = SignClassBayes(ac)
-    assert strat.predict(0) == pytest.approx((0.05 + 0.2) / 2)
-    for _ in range(100):
-        strat.update(0, 1)
-    assert strat.predict(0) == pytest.approx(0.2, abs=1e-6)
-    assert strat.predict(1) == pytest.approx(0.125)
+    assert strat.mean(0, 0) == pytest.approx((0.05 + 0.2) / 2)
+    # a center seen 100 times, all ones, beside one not seen yet
+    after = strat.mean(np.array([100, 0]), np.array([100, 0]))
+    assert after[0] == pytest.approx(0.2, abs=1e-6)
+    assert after[1] == pytest.approx(0.125)
+    assert strat.mean(0, 100) == pytest.approx(0.05, abs=1e-6)
 
 
 def test_kl_risk():
@@ -151,6 +152,8 @@ def test_scaling_experiment_small():
     for grid in ([64], [64, 64]):
         with pytest.raises(ValueError, match="two distinct horizons"):
             scaling_experiment(1.0, grid, SignClassBayes, range(3))
+    with pytest.raises(ValueError, match="degenerate grid: horizon 64 "):
+        scaling_experiment(1.0, [64, 128, 64], SignClassBayes, range(3))
     with pytest.raises(ValueError, match="horizons must be >= 1"):
         scaling_experiment(1.0, [0, 64], SignClassBayes, range(3))
     with pytest.raises(ValueError, match="horizon must be at least 2"):
@@ -257,9 +260,10 @@ def _loop_online_to_batch(strategy, dataset, ac):
 
 # (label, count-rule strategy, per-round reference)
 _PAIRS = [
-    ("half", ConstantStrategy, _LoopConstant),
-    ("zero", lambda ac: ConstantStrategy(ac, 0.0), lambda ac: _LoopConstant(ac, 0.0)),
-    ("one", lambda ac: ConstantStrategy(ac, 1.0), lambda ac: _LoopConstant(ac, 1.0)),
+    pytest.param("half", lambda ac: ConstantStrategy(0.5), _LoopConstant,
+                 id="half-ConstantStrategy-_LoopConstant"),
+    ("zero", lambda ac: ConstantStrategy(0.0), lambda ac: _LoopConstant(ac, 0.0)),
+    ("one", lambda ac: ConstantStrategy(1.0), lambda ac: _LoopConstant(ac, 1.0)),
     ("empirical", EmpiricalMeanStrategy, _LoopEmpirical),
     ("bayes", SignClassBayes, _LoopBayes),
 ]
@@ -273,13 +277,6 @@ def _datasets(ac, rng):
            zip(rng.integers(0, 3, size=40), rng.integers(0, 2, size=40))]
     return [sample_dataset(ac, v, 300, int(rng.integers(2**31))), few,
             [(ac.n_centers - 1, 1)], []]
-
-
-def _warmed(make, ac, start):
-    strat = make(ac)
-    for cid, y in start:
-        strat.update(cid, y)
-    return strat
 
 
 def _assert_close(new, ref, rel):
@@ -297,16 +294,25 @@ def test_count_paths_match_per_round_loops(p, label, make, make_ref):
     rng = np.random.default_rng([p, len(label)])
     ac = build_assouad_class(p, 0.05)
     for data in _datasets(ac, rng):
-        # from a fresh strategy and from one that has already seen data
-        for start in ([], [(0, 1), (0, 0), (1, 1)]):
-            strat, ref = _warmed(make, ac, start), _warmed(make_ref, ac, start)
-            _assert_close(_sign_class_regret(ac, strat, data),
-                          _loop_regret(ac, ref, data), 1e-9)
-            _assert_close(strat.table(), ref.table(), 1e-12)
-            strat, ref = _warmed(make, ac, start), _warmed(make_ref, ac, start)
-            _assert_close(online_to_batch(strat, data, ac).table,
-                          _loop_online_to_batch(ref, data, ac), 1e-9)
-            _assert_close(strat.table(), ref.table(), 1e-12)
+        _assert_close(_sign_class_regret(ac, make(ac), data),
+                      _loop_regret(ac, make_ref(ac), data), 1e-9)
+        _assert_close(online_to_batch(make(ac), data, ac).table,
+                      _loop_online_to_batch(make_ref(ac), data, ac), 1e-9)
+
+
+@pytest.mark.parametrize("label, make, make_ref", _PAIRS)
+def test_reused_strategy_matches_fresh_ones(label, make, make_ref):
+    # a count rule keeps no counts, so a second dataset starts where a
+    # fresh rule would, however much data the same object has scored
+    rng = np.random.default_rng(len(label))
+    ac = build_assouad_class(1, 0.05)
+    first, second = _datasets(ac, rng)[:2]
+    reused = make(ac)
+    for data in (first, second):
+        assert (_sign_class_regret(ac, reused, data)
+                == _sign_class_regret(ac, make(ac), data))
+        assert np.array_equal(online_to_batch(reused, data, ac).table,
+                              online_to_batch(make(ac), data, ac).table)
 
 
 def test_constant_extremes_give_inf_not_nan():
@@ -314,18 +320,5 @@ def test_constant_extremes_give_inf_not_nan():
     for value in (0.0, 1.0):
         wrong = [(0, 1 - int(value))] * 3
         right = [(0, int(value))] * 3
-        assert _sign_class_regret(ac, ConstantStrategy(ac, value), wrong) == math.inf
-        assert math.isfinite(_sign_class_regret(ac, ConstantStrategy(ac, value), right))
-
-
-@pytest.mark.parametrize("label, make, make_ref", _PAIRS)
-def test_predict_update_table_match_per_round_state(label, make, make_ref):
-    rng = np.random.default_rng(len(label))
-    ac = build_assouad_class(2, 0.05)
-    strat, ref = make(ac), make_ref(ac)
-    for cid, y in zip(rng.integers(0, 4, size=200), rng.integers(0, 2, size=200)):
-        strat.update(int(cid), int(y))
-        ref.update(int(cid), int(y))
-        for c in range(ac.n_centers):
-            _assert_close(strat.predict(c), ref.predict(c), 1e-12)
-        _assert_close(strat.table(), ref.table(), 1e-12)
+        assert _sign_class_regret(ac, ConstantStrategy(value), wrong) == math.inf
+        assert math.isfinite(_sign_class_regret(ac, ConstantStrategy(value), right))

@@ -155,6 +155,9 @@ def test_fit_validation():
         fit_rate_exponent("nope", 1.0, 2.0, [2**k for k in range(10, 17)])
     with pytest.raises(ValueError):
         fit_rate_exponent("self_concordance", 1.0, 2.0, [16] * 8)
+    with pytest.raises(ValueError, match="degenerate grid: horizon 4096 "):
+        fit_rate_exponent("self_concordance", 1.0, 2.0,
+                          [2**k for k in range(10, 16)] + [2**12])
 
 
 def test_fit_of_zero_curve_has_no_rate():

@@ -48,7 +48,12 @@ def test_bounds_grid_errors_exit_2(capsys):
         assert main(["bounds", "--entropy", "pow:p=2",
                      "--n-grid", grid, "--fit"]) == 2
         assert "two distinct horizons" in capsys.readouterr().err
-    assert main(["bounds", "--entropy", "pow:p=2", "--n-grid", "2^3..2^3"]) == 0
+    # a repeated horizon would weigh its point twice in the fit
+    assert main(["bounds", "--entropy", "pow:p=2", "--n-grid", "16,16,32",
+                 "--fit"]) == 2
+    assert "degenerate grid: horizon 16 " in capsys.readouterr().err
+    for grid in ("2^3..2^3", "16,16,32"):
+        assert main(["bounds", "--entropy", "pow:p=2", "--n-grid", grid]) == 0
 
 
 def test_parse_entropy():
@@ -68,6 +73,16 @@ def test_parse_entropy_rejects_unknown_keys():
     # an empty spec keeps the defaults C = 1, p = 1 and d = 1
     assert _parse_entropy("pow").value(0.5) == 2.0
     assert _parse_entropy("log").value(0.5) == math.log(2)
+
+
+def test_parse_entropy_rejects_repeated_keys(capsys):
+    # a repeated key would silently keep its last value
+    for spec, key in (("pow:p=2,p=3", "p"), ("pow:C=1,p=2,C=1", "C"),
+                      ("log:d=1,d=2", "d")):
+        with pytest.raises(ValueError, match=f": {key} given twice"):
+            _parse_entropy(spec)
+        assert main(["bounds", "--entropy", spec, "--n-grid", "1024"]) == 2
+        assert f": {key} given twice" in capsys.readouterr().err
 
 
 def test_minimax_subcommand(class_file, tmp_path, capsys):
@@ -346,6 +361,7 @@ def test_assouad_scaling_without_seeds_exits_2(capsys):
 
 def test_assouad_scaling_grid_errors_exit_2(capsys):
     for grid, msg in (("64,64", "two distinct horizons"),
+                      ("2,2,4", "degenerate grid: horizon 2 "),
                       ("0,64", "horizons must be >= 1")):
         assert main(["assouad", "--scaling", "--p", "1", "--n-grid", grid,
                      "--n-seeds", "1"]) == 2

@@ -89,9 +89,6 @@ def test_expert_class_basics():
     assert list(ec.column("a")) == [0.1, 0.5]
     with pytest.raises(KeyError):
         ec.context_index("c")
-    assert not ec.has_duplicate_experts
-    dup = ExpertClass(contexts=[0], experts=[[0.5], [0.5]])
-    assert dup.has_duplicate_experts
 
 
 def test_unhashable_context_id_is_unknown():

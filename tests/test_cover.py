@@ -462,14 +462,10 @@ def test_integral_over_empty_interval_is_zero(H):
         assert H.integral_sqrt(a, a) == 0
 
 
-def test_tabulated_curve_and_csv(tmp_path):
+def test_tabulated_curve_value_at_knots():
     curve = EntropyCurve.tabulated([0.5, 0.25], [1.0, 2.0], [1.5, 2.5])
     assert curve.value(0.25) == pytest.approx(2.5)
-    out = tmp_path / "curve.csv"
-    curve.export_csv(out)
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == "gamma,lower,upper"
-    assert len(lines) == 3
+    assert curve.value(0.5) == pytest.approx(1.5)
 
 
 def enumerate_lipschitz(gamma, max_functions=10**6):

@@ -439,6 +439,15 @@ def test_unhashable_context_id_is_unknown():
         StaticContexts([0, [1]])
 
 
+def test_static_contexts_rejects_duplicate_ids():
+    # a repeated id would widen the count layout (210 states at n = 4
+    # against 70 for [0, 1], for the same value) and draw that context
+    # twice as often in random duals
+    with pytest.raises(ValueError, match="duplicate context ids"):
+        StaticContexts([0, 1, 0])
+    assert StaticContexts([0, 1]).available(()) == (0, 1)
+
+
 def exact_mixture_worst_case(g, strategy):
     """worst_case_search for a Bayes mixture as a loop over every full
     history, scored by the mixture's exact regret
@@ -699,9 +708,9 @@ def test_bayes_mixture_regret_bound():
         outcomes = rng.integers(0, 2, size=4).tolist()
         trace = run_strategy(g, strat, FixedSequence(contexts, outcomes))
         assert trace.regret <= bound + 1e-9
-        assert trace.recompute_regret(ec) == pytest.approx(
-            trace.regret, abs=1e-9
-        )
+        player = sum(log_loss(p, y) for p, y in zip(trace.predictions, outcomes))
+        best = -max(ec.history_log_lik(zip(contexts, outcomes)))
+        assert player - best == pytest.approx(trace.regret, abs=1e-9)
 
 
 def test_bayes_worst_case_also_bounded():
