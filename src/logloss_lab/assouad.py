@@ -129,17 +129,24 @@ class SignClassBayes:
         return (w_hi * self.hi + w_lo * self.lo) / (w_hi + w_lo)
 
 
-def _visits(dataset):
+def _visits(ac: AssouadClass, dataset):
     """Each visit of the dataset with its center's counts before it.
 
     Returns (rounds, centers, ys, ones, total), one entry per visit, sorted
     by center and, within a center, by round (a stable argsort): the
     visit's round index, center and outcome, and the center's ones and
-    visits in the rounds before it, as ints.
+    visits in the rounds before it, as ints.  ValueError names the first
+    row whose center is not one of ac's or whose outcome is not 0 or 1.
     """
     data = np.asarray(dataset, dtype=np.int64).reshape(-1, 2)
-    rounds = np.argsort(data[:, 0], kind="stable")
-    centers, ys = data[rounds, 0], data[rounds, 1]
+    center, y = data.T
+    bad = (center < 0) | (center >= ac.n_centers) | ((y != 0) & (y != 1))
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise ValueError(f"dataset row {r} is {tuple(data[r].tolist())}: a row "
+                         f"needs a center in [0, {ac.n_centers}) and an outcome 0 or 1")
+    rounds = np.argsort(center, kind="stable")
+    centers, ys = center[rounds], y[rounds]
     start = np.searchsorted(centers, centers)  # each center's first visit
     seen = np.cumsum(ys) - ys
     return rounds, centers, ys, seen - seen[start], np.arange(centers.size) - start
@@ -156,7 +163,7 @@ def online_to_batch(strategy, dataset, ac: AssouadClass) -> BatchEstimator:
     if n == 0:
         return BatchEstimator(np.full(ac.n_centers, 0.5))
     acc = np.full(ac.n_centers, n * strategy.mean(0, 0))
-    rounds, centers, ys, ones, total = _visits(dataset)
+    rounds, centers, ys, ones, total = _visits(ac, dataset)
     delta = strategy.mean(ones + ys, total + 1) - strategy.mean(ones, total)
     acc += np.bincount(
         centers, weights=delta * (n - 1 - rounds), minlength=ac.n_centers
@@ -205,7 +212,7 @@ def _sign_class_regret(ac: AssouadClass, strategy, dataset) -> float:
     The best competitor decomposes per center: each center independently
     picks whichever of {eps, 4 eps} has smaller total loss there.
     """
-    _, centers, ys, ones_before, total_before = _visits(dataset)
+    _, centers, ys, ones_before, total_before = _visits(ac, dataset)
     preds = strategy.mean(ones_before, total_before)
     player = float(np.sum(log_loss(preds, ys)))
     ones = np.bincount(centers, weights=ys, minlength=ac.n_centers)

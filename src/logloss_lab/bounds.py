@@ -325,7 +325,7 @@ def rate_exponents(p: float) -> RateReport:
     else:
         old = (2.0 * p - 1.0) / (2.0 * p)
         ratio = (p - 1.0) / (2.0 * p * (p + 1.0))
-        if p < 2.0:
+        if p <= 2.0:
             old_params = (
                 f"gamma = n^(-{2 * p + 1:g}/{2 * p * (2 + p):g}), "
                 f"delta = n^(-1/{2 * p:g}), alpha = n^(-1/{p:g})"

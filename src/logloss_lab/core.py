@@ -8,6 +8,7 @@ absorb them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -36,13 +37,12 @@ LAMBDA_STAR = 1.0 / ESTIMATION_CONSTANT
 
 
 class BinaryTree:
-    """Depth-n complete binary tree of values indexed by (round, prefix).
+    """Depth-n complete binary tree of values indexed by (round, prefix):
+    all ``2**depth - 1`` node values in flat order, or ``fill`` at each.
 
     The node for round ``t`` (1-based) and outcome-prefix integer ``q``
-    (bits of outcomes 1..t-1, least significant first) lives at flat index
-    ``2**(t-1) - 1 + q``; there are exactly ``2**depth - 1`` nodes, and the
-    value seen on a path at round ``t`` depends only on the first ``t - 1``
-    outcomes.
+    (bits of outcomes 1..t-1, least significant first) is ``level(t)[q]``,
+    at flat index ``2**(t-1) - 1 + q``; ``get(t, q)`` checks both indices.
     """
 
     def __init__(self, depth: int, values=None, fill=0.0):
@@ -60,44 +60,16 @@ class BinaryTree:
                 )
             self.values = values.copy()
 
-    @classmethod
-    def constant(cls, depth: int, value) -> "BinaryTree":
-        return cls(depth, fill=value)
-
-    @classmethod
-    def from_function(cls, depth: int, fn) -> "BinaryTree":
-        """Build from fn(t, prefix_bits_tuple) -> value."""
-        tree = cls(depth, fill=0.0)
-        vals = []
-        for t in range(1, depth + 1):
-            for q in range(1 << (t - 1)):
-                bits = tuple((q >> i) & 1 for i in range(t - 1))
-                vals.append(fn(t, bits))
-        tree.values = np.asarray(vals)
-        return tree
-
-    @staticmethod
-    def node_index(t: int, prefix: int) -> int:
-        return (1 << (t - 1)) - 1 + prefix
-
     @staticmethod
     def level_slice(t: int) -> slice:
         """Flat node indices of round t, in prefix order."""
         return slice((1 << (t - 1)) - 1, (1 << t) - 1)
 
     def get(self, t: int, prefix: int):
-        self._check(t, prefix)
-        return self.values[self.node_index(t, prefix)]
-
-    def set(self, t: int, prefix: int, value) -> None:
-        self._check(t, prefix)
-        self.values[self.node_index(t, prefix)] = value
-
-    def _check(self, t: int, prefix: int) -> None:
-        if not 1 <= t <= self.depth:
-            raise IndexError("round out of range")
-        if not 0 <= prefix < (1 << (t - 1)):
+        level = self.level(t)
+        if not 0 <= prefix < level.size:
             raise IndexError("prefix out of range for round")
+        return level[prefix]
 
     def level(self, t: int) -> np.ndarray:
         """Writable view of round t's node values, in prefix order.
@@ -118,15 +90,17 @@ def path_node_indices(depth: int) -> np.ndarray:
     """
     paths = np.arange(1 << depth)[:, None]
     t = np.arange(1, depth + 1)[None, :]
-    prefix_mask = (1 << (t - 1)) - 1
-    return (1 << (t - 1)) - 1 + (paths & prefix_mask)
+    first = (1 << (t - 1)) - 1  # round t's first index, and its prefix mask
+    return first + (paths & first)
 
 
 @dataclass
 class ExpertClass:
     """A finite family of experts, each a table context-id -> probability.
 
-    ``experts`` is read-only; ``log_lik[y]`` = log P(y | expert, context)."""
+    ``experts[i, context_index(x)]`` is expert i's value at context id x
+    (``columns`` looks up many ids).  ``experts`` is read-only;
+    ``log_lik[y]`` = log P(y | expert, context)."""
 
     contexts: list
     experts: np.ndarray  # shape (n_experts, n_contexts)
@@ -143,12 +117,7 @@ class ExpertClass:
             raise ValueError("each expert must be defined on every context")
         if not np.all((self.experts >= 0) & (self.experts <= 1)):
             raise ValueError("expert values must lie in [0, 1]")
-        try:
-            self._index = {c: i for i, c in enumerate(self.contexts)}
-        except TypeError:
-            raise ValueError("context ids must be hashable") from None
-        if len(self._index) != len(self.contexts):
-            raise ValueError("duplicate context ids")
+        self._index = _index_of(self.contexts)
         self.experts.flags.writeable = False
         with np.errstate(divide="ignore"):
             self.log_lik = np.stack(
@@ -166,8 +135,13 @@ class ExpertClass:
         except (KeyError, TypeError):  # an unhashable value is no context id
             raise KeyError(f"unknown context id: {context!r}") from None
 
-    def value(self, expert: int, context) -> float:
-        return float(self.experts[expert, self.context_index(context)])
+    def columns(self, ids) -> np.ndarray:
+        """context_index of every id in a sequence, as an intp array;
+        KeyError for the first id the class lacks."""
+        cols = _lookup(self._index, ids, -1)
+        if cols.size and cols.min() < 0:
+            self.context_index(ids[int(np.argmin(cols))])
+        return cols
 
     def column(self, context) -> np.ndarray:
         """All expert values at one context."""
@@ -186,6 +160,35 @@ class ExpertClass:
         """Context-free experts: a single context, one constant per expert."""
         probs = np.asarray(probs, dtype=float)
         return cls(contexts=[0], experts=probs[:, None])
+
+
+def _index_of(ids) -> dict:
+    """{id: position} of a sequence of context ids; ValueError unless the
+    ids are hashable and distinct."""
+    try:
+        index = {c: i for i, c in enumerate(ids)}
+    except TypeError:
+        raise ValueError("context ids must be hashable") from None
+    if len(index) != len(ids):
+        raise ValueError("duplicate context ids")
+    return index
+
+
+def _lookup(index: dict, keys, missing: int) -> np.ndarray:
+    """index.get(key, missing) for every key of a sequence, as an intp
+    array; an unhashable key is no context id, so it too reads `missing`."""
+    try:
+        cols = map(index.get, keys, itertools.repeat(missing))
+        return np.fromiter(cols, dtype=np.intp, count=len(keys))
+    except TypeError:
+        return np.array([_get(index, x, missing) for x in keys], dtype=np.intp)
+
+
+def _get(index: dict, key, missing: int) -> int:
+    try:
+        return index.get(key, missing)
+    except TypeError:
+        return missing
 
 
 def _outcome(y) -> int:

@@ -68,8 +68,7 @@ class SequentialCover:
 
 
 def restrict(expert_class: ExpertClass, x: BinaryTree) -> RestrictedClass:
-    cols = [expert_class.context_index(c) for c in x.values]
-    vals = expert_class.experts[:, cols]  # one class column per node
+    vals = expert_class.experts[:, expert_class.columns(x.values)]  # per node
     vals.flags.writeable = False
     return RestrictedClass(context_tree=x, values=vals)
 
@@ -370,14 +369,23 @@ class EntropyCurve:
 
     @classmethod
     def tabulated(cls, gammas, lowers, uppers) -> "EntropyCurve":
-        gammas = np.asarray(gammas, dtype=float)
-        order = np.argsort(gammas)
-        return cls(
-            kind="tabulated",
-            gammas=gammas[order],
-            lowers=np.asarray(lowers, dtype=float)[order],
-            uppers=np.asarray(uppers, dtype=float)[order],
-        )
+        """The curve of three table columns, rows in any order: ValueError
+        unless they are 1-D, of one length, not empty and finite, with
+        positive and distinct gammas."""
+        cols = [np.asarray(c, dtype=float) for c in (gammas, lowers, uppers)]
+        if cols[0].ndim != 1 or any(c.shape != cols[0].shape for c in cols):
+            raise ValueError("tabulated curve needs three 1-D columns of one "
+                             f"length, got {[c.shape for c in cols]}")
+        if not cols[0].size:
+            raise ValueError("tabulated curve has no points")
+        if not all(np.isfinite(c).all() for c in cols):
+            raise ValueError("tabulated curve entries must be finite")
+        order = np.argsort(cols[0])
+        gammas, lowers, uppers = (c[order] for c in cols)
+        if gammas[0] <= 0 or np.any(gammas[1:] == gammas[:-1]):
+            raise ValueError("tabulated gammas must be positive and distinct, "
+                             f"got {gammas.tolist()}")
+        return cls(kind="tabulated", gammas=gammas, lowers=lowers, uppers=uppers)
 
     def value(self, gamma: float) -> float:
         if not gamma > 0:

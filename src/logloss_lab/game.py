@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BinaryTree, ExpertClass, _outcome, log_loss
+from .core import BinaryTree, ExpertClass, _index_of, _lookup, _outcome, log_loss
 
 __all__ = [
     "AvailabilityRule",
@@ -79,12 +79,7 @@ class StaticContexts(AvailabilityRule):
         contexts = tuple(contexts)
         if not contexts:
             raise ValueError("availability must never be empty")
-        try:
-            distinct = len(set(contexts))
-        except TypeError:
-            raise ValueError("context ids must be hashable") from None
-        if distinct != len(contexts):
-            raise ValueError("duplicate context ids")
+        _index_of(contexts)
         self.contexts = contexts
 
     def available(self, history):
@@ -256,8 +251,8 @@ class _CountTable(_Table):
         """(leaves, experts) log likelihoods of the leaf count vectors, a
         masked sum: 0 counts of log 0 = -inf add 0, not NaN.  (einsum, not
         BLAS: the cell axis is short, and a first BLAS call allocates.)"""
-        cols = [ec.context_index(x) for x in self.contexts]
-        ll = ec.log_lik[:, :, cols].transpose(1, 2, 0).reshape(ec.n_experts, -1)
+        ll = ec.log_lik[:, :, ec.columns(self.contexts)]
+        ll = ll.transpose(1, 2, 0).reshape(ec.n_experts, -1)
         ruled_out, counts = np.isneginf(ll), self.leaves
         total = np.einsum("sc,fc->sf", counts, np.where(ruled_out, 0.0, ll))
         hits = np.einsum("sc,fc->sf", counts, ruled_out.astype(np.int64))
@@ -310,7 +305,7 @@ class _HistoryTable(_Table):
                 edges = [x for xs in options for x in xs]
             self.parents.append(parent)
             self.offsets.append(offsets)
-            self.cols.append(_columns(ec, edges))
+            self.cols.append(ec.columns(edges))
             if strategy is not None:
                 p = np.array([strategy.predict(histories[q], x)
                               for q, x in zip(parent.tolist(), edges)])
@@ -338,7 +333,7 @@ class _HistoryTable(_Table):
         """(leaves, experts) log likelihoods of the full histories."""
         lik = ec.log_lik
         if ec is not self.ec:
-            lik = lik[:, :, [ec.context_index(x) for x in self.ec.contexts]]
+            lik = lik[:, :, ec.columns(self.ec.contexts)]
         total = np.zeros((1, ec.n_experts))
         for parent, cols in zip(self.parents, self.cols):
             # child 2e + y of edge e adds lik[y, :, col] to its node's row
@@ -392,25 +387,6 @@ def _check_paths(n: int) -> None:
         raise ValueError("too many paths for exact dual evaluation")
 
 
-def _lookup(index: dict, keys: list, missing: int) -> np.ndarray:
-    """index.get(key, missing) for every key, as an intp array; an
-    unhashable key is no context id, so it too reads `missing`."""
-    try:
-        columns = map(index.get, keys, itertools.repeat(missing))
-        return np.fromiter(columns, dtype=np.intp, count=len(keys))
-    except TypeError:
-        return np.array([_get(index, x, missing) for x in keys], dtype=np.intp)
-
-
-def _columns(ec: ExpertClass, edges) -> np.ndarray:
-    """Class column of every edge's context; KeyError for the first context
-    the class lacks."""
-    cols = _lookup(ec._index, edges, -1)
-    if cols.min() < 0:
-        ec.context_index(edges[int(np.argmin(cols))])
-    return cols
-
-
 def _node_columns(g: GameInstance, context_tree: BinaryTree) -> np.ndarray:
     """Class column of every node's context, in flat order: -1 where the
     class lacks the context and, under StaticContexts, -2 where the rule
@@ -419,13 +395,6 @@ def _node_columns(g: GameInstance, context_tree: BinaryTree) -> np.ndarray:
     if _static(g):
         index, missing = {x: index.get(x, -1) for x in g.availability.contexts}, -2
     return _lookup(index, context_tree.values.tolist(), missing)
-
-
-def _get(index, x, missing):
-    try:
-        return index.get(x, missing)
-    except TypeError:
-        return missing
 
 
 def dual_value(g: GameInstance, s: DualStrategy) -> float:
@@ -500,9 +469,8 @@ def random_dual_strategy(g: GameInstance, rng) -> DualStrategy:
     # nothing).
     if _static(g):
         contexts = g.availability.contexts
-        options = np.empty(len(contexts), dtype=object)
-        for i, x in enumerate(contexts):  # a tuple id stays one element
-            options[i] = x
+        # an object array of the ids, in which a tuple id stays one element
+        options = np.fromiter(contexts, dtype=object, count=len(contexts))
         ctx.values[:] = options[rng.integers(len(contexts), size=(1 << n) - 1)]
         return DualStrategy(context_tree=ctx, prob_tree=prob)
     # Context at (t, prefix) must be valid for every history reaching the
@@ -602,24 +570,30 @@ class FixedSequence:
 
 
 class StochasticAdversary:
-    """Contexts from a tree, outcomes drawn from a probability tree."""
+    """Contexts from a tree, outcomes drawn from a probability tree.
+
+    Each round's node is read from the history: round len(history) + 1, at
+    the prefix of the outcomes played so far.  The adversary keeps no state
+    of a run, so it may play several; its RNG stream continues from one run
+    to the next."""
 
     def __init__(self, context_tree: BinaryTree, prob_tree: BinaryTree, seed=0):
         self.context_tree = context_tree
         self.prob_tree = prob_tree
         self.rng = np.random.default_rng(seed)
-        self._bits = 0
 
     def context(self, history):
-        t = len(history) + 1
-        return self.context_tree.get(t, self._bits)
+        return self.context_tree.get(*_node(history))
 
     def outcome(self, history, p_hat):
-        t = len(history) + 1
-        p = float(self.prob_tree.get(t, self._bits))
-        y = int(self.rng.uniform() < p)
-        self._bits |= y << (t - 1)
-        return y
+        p = float(self.prob_tree.get(*_node(history)))
+        return int(self.rng.uniform() < p)
+
+
+def _node(history):
+    """(round, prefix) of the tree node that a history reaches."""
+    prefix = sum(_outcome(y) << i for i, (_, y) in enumerate(history))
+    return len(history) + 1, prefix
 
 
 class MaximinSearch:
@@ -631,6 +605,9 @@ def run_strategy(g: GameInstance, strategy, adversary) -> RegretTrace:
     if isinstance(adversary, MaximinSearch) or adversary is MaximinSearch:
         (contexts, outcomes), _ = worst_case_search(g, strategy)
         adversary = FixedSequence(contexts, outcomes)
+    if isinstance(adversary, FixedSequence) and len(adversary.outcomes) < g.horizon:
+        raise ValueError(f"fixed sequence of {len(adversary.outcomes)} rounds is "
+                         f"shorter than the horizon {g.horizon}")
     history = ()
     predictions, outcomes, contexts = [], [], []
     for _ in range(g.horizon):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,27 @@ def test_online_to_batch_empirical_learns():
     est = online_to_batch(EmpiricalMeanStrategy(ac), data, ac)
     assert est.table[0] > 0.9
     assert est.table[1] == 0.5
+
+
+def test_datasets_need_known_centers_and_binary_outcomes():
+    ac = build_assouad_class(1, 1 / 16)
+
+    def regret(data):
+        return _sign_class_regret(ac, SignClassBayes(ac), data)
+
+    def batch(data):
+        return online_to_batch(EmpiricalMeanStrategy(ac), data, ac)
+
+    cases = [
+        (regret, [(10, 1), (0, 1)], 0),  # unchecked, an 11th center
+        (batch, [(10, 1), (0, 1)], 0),
+        (batch, [(1, 2), (0, 1)], 0),  # unchecked, two ones
+        (batch, [(0, 1), (-1, 0)], 1),
+    ]
+    for call, data, row in cases:
+        message = f"dataset row {row} is {data[row]}: a row needs a center in [0, 4)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(data)
 
 
 def test_bayes_posterior_moves_right_way():

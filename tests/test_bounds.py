@@ -5,6 +5,7 @@ import pytest
 
 from logloss_lab.bounds import (
     BoundParams,
+    _warm_starts,
     fit_rate_exponent,
     golden_section,
     rate_exponents,
@@ -135,6 +136,26 @@ def test_rate_exponents_table():
     assert r.old_exponent > 0.99
     with pytest.raises(ValueError):
         rate_exponents(0.0)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_rate_report_params_are_the_first_warm_start(p):
+    # the truncation bound's stated parameter regime is where its
+    # optimiser starts; at p = 2 both take the middle regime
+    n = 2**10
+
+    def at_n(expr):  # "1" or "n^(-a/b)"
+        if expr == "1":
+            return 1.0
+        a, b = expr[len("n^(-"):-1].split("/")
+        return n ** (-float(a) / float(b))
+
+    stated = rate_exponents(p).old_params.split(", ")
+    stated = dict(part.split(" = ") for part in stated)
+    start = _warm_starts(EntropyCurve.power(1.0, p), n, np.random.default_rng(0))[0]
+    assert start == pytest.approx(
+        tuple(at_n(stated[k]) for k in ("gamma", "delta", "alpha")), rel=1e-12
+    )
 
 
 def test_fit_single_scale_exponents():

@@ -33,7 +33,7 @@ def test_tree_indexing():
     k = 0.0
     for t in range(1, 4):
         for q in range(1 << (t - 1)):
-            tree.set(t, q, k)
+            tree.level(t)[q] = k
             k += 1.0
     assert list(tree.values) == list(range(7))
     # path 1,1: sees root, right child of round 2, node (3, prefix=3)
@@ -56,7 +56,10 @@ def test_tree_prefix_dependence():
     def encode(t, bits):
         return t * 100 + sum(b << i for i, b in enumerate(bits))
 
-    tree = BinaryTree.from_function(4, encode)
+    tree = BinaryTree(4, values=[
+        encode(t, tuple((q >> i) & 1 for i in range(t - 1)))
+        for t in range(1, 5) for q in range(1 << (t - 1))
+    ])
     idx = path_node_indices(4)
     for y in range(16):
         vals = tree.values[idx[y]]
@@ -85,7 +88,7 @@ def test_path_node_indices_matches_tree():
 def test_expert_class_basics():
     ec = ExpertClass(contexts=["a", "b"], experts=[[0.1, 0.9], [0.5, 0.5]])
     assert ec.n_experts == 2
-    assert ec.value(0, "b") == 0.9
+    assert ec.experts[0, ec.context_index("b")] == 0.9
     assert list(ec.column("a")) == [0.1, 0.5]
     with pytest.raises(KeyError):
         ec.context_index("c")
@@ -94,11 +97,26 @@ def test_expert_class_basics():
 def test_unhashable_context_id_is_unknown():
     ec = ExpertClass(contexts=[0, 1], experts=[[0.3, 0.6]])
     for lookup in (lambda: ec.context_index([1]), lambda: ec.column([1]),
-                   lambda: ec.value(0, [1]),
+                   lambda: ec.experts[0, ec.context_index([1])],
                    lambda: ec.history_log_lik([(0, 1), ([1], 0)])):
         with pytest.raises(KeyError) as err:
             lookup()
         assert str(err.value) == repr("unknown context id: [1]")
+
+
+def test_expert_class_columns():
+    ec = ExpertClass(contexts=["a", (0, 1), 3], experts=[[0.1, 0.5, 0.9]])
+    ids = ["a", 3, (0, 1), 3, "a"]
+    cols = ec.columns(ids)
+    assert cols.dtype == np.intp
+    assert cols.tolist() == [ec.context_index(x) for x in ids]
+    assert ec.columns([]).tolist() == []
+    # the first id the class lacks is named, unhashable or not
+    for ids, first in ((["a", "z", [1]], "z"), (["a", [1], "z"], [1]),
+                       ([3, (0, [1])], (0, [1]))):
+        with pytest.raises(KeyError) as err:
+            ec.columns(ids)
+        assert str(err.value) == repr(f"unknown context id: {first!r}")
 
 
 def test_expert_class_validation():
@@ -139,7 +157,7 @@ def test_expert_class_is_read_only():
     table = np.array([[0.2, 0.4]])
     ec = ExpertClass(contexts=[0, 1], experts=table)
     table[0, 0] = 0.9  # the class holds its own copy
-    assert ec.value(0, 0) == 0.2
+    assert ec.experts[0, ec.context_index(0)] == 0.2
     for arr in (ec.experts, ec.log_lik, ec.column(0)):
         with pytest.raises(ValueError):
             arr[0] = 0.5
@@ -148,7 +166,7 @@ def test_expert_class_is_read_only():
 def test_constants_class():
     ec = ExpertClass.constants([0.2, 0.8])
     assert ec.n_experts == 2
-    assert ec.value(1, 0) == 0.8
+    assert ec.experts[1, ec.context_index(0)] == 0.8
 
 
 def test_log_loss_values():

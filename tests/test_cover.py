@@ -35,7 +35,7 @@ def constant_context_class(probs, depth):
 
 def test_restrict_values():
     ec = ExpertClass(contexts=["a", "b"], experts=[[0.2, 0.8]])
-    x = BinaryTree.from_function(2, lambda t, bits: "a" if t == 1 else "b")
+    x = BinaryTree(2, values=["a", "b", "b"])
     rc = restrict(ec, x)
     assert rc.n_experts == 1
     assert rc.values.tolist() == [[0.2, 0.8, 0.8]]
@@ -60,9 +60,9 @@ def test_cover_verify_accepts_class_itself():
 
 def test_cover_verify_rejects_bad_cover():
     rc = constant_context_class([0.0, 1.0], 2)
-    V = SequentialCover(elements=[BinaryTree.constant(2, 0.5)], scale=0.1)
+    V = SequentialCover(elements=[BinaryTree(2, fill=0.5)], scale=0.1)
     assert not cover_verify(rc, V)
-    V2 = SequentialCover(elements=[BinaryTree.constant(2, 0.5)], scale=0.5)
+    V2 = SequentialCover(elements=[BinaryTree(2, fill=0.5)], scale=0.5)
     assert cover_verify(rc, V2)
 
 
@@ -466,6 +466,24 @@ def test_tabulated_curve_value_at_knots():
     curve = EntropyCurve.tabulated([0.5, 0.25], [1.0, 2.0], [1.5, 2.5])
     assert curve.value(0.25) == pytest.approx(2.5)
     assert curve.value(0.5) == pytest.approx(1.5)
+
+
+def test_tabulated_curve_checks_its_table():
+    rows = ([0.5, 0.25], [1.0, 2.0], [1.5, 2.5])
+    EntropyCurve.tabulated(*rows)
+    bad = [
+        (([0.5, 0.25], [1.0], [1.5, 2.5]), "three 1-D columns of one length"),
+        (([[0.5, 0.25]], [[1.0, 2.0]], [[1.5, 2.5]]), "three 1-D columns"),
+        (([], [], []), "has no points"),
+        (([0.5, 0.25], [1.0, 2.0], [math.nan, 2.5]), "entries must be finite"),
+        (([0.5, math.inf], [1.0, 2.0], [1.5, 2.5]), "entries must be finite"),
+        (([0.5, -0.25], [1.0, 2.0], [1.5, 2.5]), "positive and distinct"),
+        (([0.5, 0.0], [1.0, 2.0], [1.5, 2.5]), "positive and distinct"),
+        (([0.5, 0.5], [1.0, 2.0], [1.5, 2.5]), "positive and distinct"),
+    ]
+    for table, message in bad:
+        with pytest.raises(ValueError, match=message):
+            EntropyCurve.tabulated(*table)
 
 
 def enumerate_lipschitz(gamma, max_functions=10**6):

@@ -43,7 +43,7 @@ def shtarkov_oracle(ec, context_assignment, n):
             lik = 1.0
             for t in range(1, n + 1):
                 x = context_assignment[idx[y, t - 1]]
-                f = ec.value(i, x)
+                f = ec.experts[i, ec.context_index(x)]
                 lik *= f if (y >> (t - 1)) & 1 else 1.0 - f
             best = max(best, lik)
         total += best
@@ -733,6 +733,35 @@ def test_constant_strategy_and_stochastic_adversary():
     trace = run_strategy(g, ConstantStrategy(0.5), adv)
     assert trace.player_loss == pytest.approx(3 * math.log(2), abs=1e-12)
     assert trace.regret >= 0.0 or trace.best_expert_loss > trace.player_loss
+
+
+def test_stochastic_adversary_replays_a_run():
+    # with 0/1 branch probabilities a run follows one path whatever the
+    # RNG draws, so one adversary played twice plays that path twice
+    ec = ExpertClass(contexts=["a", "b"], experts=[[0.2, 0.9], [0.6, 0.3]])
+    g = GameInstance(horizon=4, expert_class=ec)
+    rng = np.random.default_rng(5)
+    ctx = BinaryTree(4, values=rng.choice(np.array(["a", "b"], dtype=object), 15))
+    prob = BinaryTree(4, values=rng.integers(0, 2, size=15).astype(float))
+    contexts, outcomes, q = [], [], 0
+    for t in range(1, 5):
+        contexts.append(ctx.get(t, q))
+        outcomes.append(int(prob.get(t, q)))
+        q |= outcomes[-1] << (t - 1)
+    adv = StochasticAdversary(ctx, prob, seed=2)
+    for _ in range(2):
+        trace = run_strategy(g, ConstantStrategy(0.4), adv)
+        assert (trace.contexts, trace.outcomes) == (contexts, outcomes)
+
+
+def test_fixed_sequence_shorter_than_horizon():
+    g = GameInstance(3, ExpertClass.constants([0.3, 0.7]))
+    with pytest.raises(ValueError, match="fixed sequence of 2 rounds is "
+                                         "shorter than the horizon 3"):
+        run_strategy(g, ConstantStrategy(0.5), FixedSequence([0, 0], [1, 1]))
+    # a longer sequence plays its first rounds
+    trace = run_strategy(g, ConstantStrategy(0.5), FixedSequence([0] * 4, [1, 0, 1, 1]))
+    assert trace.outcomes == [1, 0, 1]
 
 
 def test_run_strategy_rejects_outcomes_other_than_0_or_1():
