@@ -106,6 +106,11 @@ class EmpiricalMeanStrategy:
         return (ones + 1.0) / (total + 2.0)
 
 
+def _log_lik(ones, zeros, h):
+    """Log likelihood of `ones` ones and `zeros` zeros under Ber(h)."""
+    return ones * math.log(h) + zeros * math.log1p(-h)
+
+
 class SignClassBayes:
     """Exact Bayes mixture over the 2^N sign class, uniform prior.
 
@@ -121,8 +126,8 @@ class SignClassBayes:
 
     def mean(self, ones, total):
         zeros = total - ones
-        lw_hi = ones * math.log(self.hi) + zeros * math.log1p(-self.hi)
-        lw_lo = ones * math.log(self.lo) + zeros * math.log1p(-self.lo)
+        lw_hi = _log_lik(ones, zeros, self.hi)
+        lw_lo = _log_lik(ones, zeros, self.lo)
         m = np.maximum(lw_hi, lw_lo)
         w_hi = np.exp(lw_hi - m)
         w_lo = np.exp(lw_lo - m)
@@ -136,15 +141,21 @@ def _visits(ac: AssouadClass, dataset):
     by center and, within a center, by round (a stable argsort): the
     visit's round index, center and outcome, and the center's ones and
     visits in the rounds before it, as ints.  ValueError names the first
-    row whose center is not one of ac's or whose outcome is not 0 or 1.
+    row whose center is not one of ac's or whose outcome is not 0 or 1,
+    checked before the cast, so 0.7 is no center and 0.9 no outcome.
     """
-    data = np.asarray(dataset, dtype=np.int64).reshape(-1, 2)
+    raw = np.asarray(dataset).reshape(-1, 2)
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, caught below
+        data = raw.astype(np.int64, copy=False)
     center, y = data.T
     bad = (center < 0) | (center >= ac.n_centers) | ((y != 0) & (y != 1))
+    if data is not raw:  # a cast table holds whole numbers only if they survive it
+        bad |= (data != raw).any(axis=1)
     if bad.any():
         r = int(np.argmax(bad))
-        raise ValueError(f"dataset row {r} is {tuple(data[r].tolist())}: a row "
-                         f"needs a center in [0, {ac.n_centers}) and an outcome 0 or 1")
+        raise ValueError(f"dataset row {r} is {tuple(raw[r].tolist())}: a row needs "
+                         f"a center in [0, {ac.n_centers}) and an outcome 0 or 1, "
+                         "both whole numbers")
     rounds = np.argsort(center, kind="stable")
     centers, ys = center[rounds], y[rounds]
     start = np.searchsorted(centers, centers)  # each center's first visit
@@ -218,10 +229,9 @@ def _sign_class_regret(ac: AssouadClass, strategy, dataset) -> float:
     ones = np.bincount(centers, weights=ys, minlength=ac.n_centers)
     total = np.bincount(centers, minlength=ac.n_centers)
     zeros = total - ones
-    lo, hi = ac.epsilon, 4.0 * ac.epsilon
-    loss_lo = -ones * math.log(lo) - zeros * math.log1p(-lo)
-    loss_hi = -ones * math.log(hi) - zeros * math.log1p(-hi)
-    best = float(np.minimum(loss_lo, loss_hi).sum())
+    # -max of the two log likelihoods, which is min of the two losses
+    best = -float(np.maximum(_log_lik(ones, zeros, ac.epsilon),
+                             _log_lik(ones, zeros, 4.0 * ac.epsilon)).sum())
     return player - best
 
 

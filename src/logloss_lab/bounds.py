@@ -49,8 +49,6 @@ class RateReport:
     new_exponent: float
     old_exponent: float
     ratio_exponent: float
-    new_params: str
-    old_params: str
 
 
 def golden_section(f, lo: float, hi: float, tol: float = 1e-8) -> float:
@@ -77,13 +75,21 @@ def golden_section(f, lo: float, hi: float, tol: float = 1e-8) -> float:
 
 
 def self_concordance_bound(H: EntropyCurve, n: int):
-    """Infimum over gamma of 4*n*gamma + c*H(gamma); returns (value,
-    gamma_star).  The bracket extends below 1/n^2 while the lower endpoint
+    """Infimum over gamma in (0, 1] of 4*n*gamma + c*H(gamma); returns
+    (value, gamma_star).  On a tabulated curve it is exact: the objective
+    is linear between knots and flat below the first, so the least value at
+    a knot below 1, at 1, or the limit c*H(0+) with gamma_star = 0.  Else a
+    golden section's bracket extends below 1/n^2 while the lower endpoint
     keeps winning, so flat curves drive the value to zero.  An H(gamma)
     that overflows counts as +inf."""
     if n < 1:
         raise ValueError("n must be >= 1")
     c = ESTIMATION_CONSTANT
+    if H.kind == "tabulated":
+        knots = [*H.gammas[H.gammas < 1.0].tolist(), 1.0]
+        best, gamma = min((4.0 * n * g + c * H.value(g), g) for g in knots)
+        limit = c * float(H.uppers[0])
+        return (limit, 0.0) if limit < best else (best, gamma)
 
     def obj_log(lg):
         g = math.exp(lg)
@@ -312,36 +318,17 @@ def truncation_bound(H: EntropyCurve, n: int, seed: int = 0):
 
 
 def rate_exponents(p: float) -> RateReport:
-    """Polynomial-in-n exponents of both bounds for entropy gamma^-p."""
+    """Polynomial-in-n exponents of both bounds for entropy gamma^-p (the
+    truncation bound's parameter regimes are `_warm_starts`')."""
     if not (math.isfinite(p) and p > 0):
         raise ValueError(f"p must be finite and positive, got {p!r}")
     new = p / (p + 1.0)
     if p <= 1.0:
-        old = p / (p + 1.0)
-        ratio = 0.0
-        old_params = (
-            f"gamma = delta = n^(-1/{p + 1:g}), alpha = n^(-1/{p:g})"
-        )
+        old, ratio = new, 0.0
     else:
         old = (2.0 * p - 1.0) / (2.0 * p)
         ratio = (p - 1.0) / (2.0 * p * (p + 1.0))
-        if p <= 2.0:
-            old_params = (
-                f"gamma = n^(-{2 * p + 1:g}/{2 * p * (2 + p):g}), "
-                f"delta = n^(-1/{2 * p:g}), alpha = n^(-1/{p:g})"
-            )
-        else:
-            old_params = (
-                f"gamma = 1, delta = n^(-1/{2 * p:g}), alpha = n^(-1/{p:g})"
-            )
-    return RateReport(
-        p=p,
-        new_exponent=new,
-        old_exponent=old,
-        ratio_exponent=ratio,
-        new_params=f"gamma = n^(-1/{p + 1:g})",
-        old_params=old_params,
-    )
+    return RateReport(p=p, new_exponent=new, old_exponent=old, ratio_exponent=ratio)
 
 
 def _check_has_rate(H: EntropyCurve) -> None:

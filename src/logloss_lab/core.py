@@ -365,10 +365,12 @@ def kl_bernoulli(p, q):
 
 
 def clip_prob(p, delta):
-    """Clip p into [delta, 1 - delta]; costs at most 2*delta in loss."""
-    if not 0 < delta <= 0.5:
+    """Clip p into [delta, 1 - delta]; costs at most 2*delta in loss.  delta
+    may be an array that broadcasts with p, every element in (0, 1/2]."""
+    d = np.asarray(delta, dtype=float)
+    if not np.all((d > 0) & (d <= 0.5)):
         raise ValueError("delta must lie in (0, 1/2]")
-    return _kernel(lambda p: np.clip(p, delta, 1.0 - delta), p)
+    return _kernel(lambda p, d: np.clip(p, d, 1.0 - d), p, d)
 
 
 def _psi(p, v, lam):

@@ -364,10 +364,6 @@ class EntropyCurve:
         return cls(kind="log", d=d)
 
     @classmethod
-    def zero(cls) -> "EntropyCurve":
-        return cls(kind="power", C=0.0, p=1.0)
-
-    @classmethod
     def tabulated(cls, gammas, lowers, uppers) -> "EntropyCurve":
         """The curve of three table columns, rows in any order: ValueError
         unless they are 1-D, of one length, not empty and finite, with

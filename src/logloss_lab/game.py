@@ -357,12 +357,9 @@ def exact_minimax(g: GameInstance) -> float:
 
 
 def optimal_prediction(g: GameInstance, history, x) -> float:
-    """Saddle-point prediction exp(W1) / (exp(W0) + exp(W1)) at this node."""
-    history = tuple(history)
-    if len(history) >= g.horizon:
-        raise ValueError("history already has full length")
-    if x not in g.availability.available(history):
-        raise ValueError(f"context {x!r} not available after this history")
+    """Saddle-point prediction exp(W1) / (exp(W0) + exp(W1)) at this node.
+    The table alone judges reachability (no `available` call): a history
+    of full length or one x the rule does not offer raises its ValueError."""
     w0, w1 = g._table.child_values(history, x)
     if w0 == -math.inf and w1 == -math.inf:
         raise ValueError("both continuation values are -inf")
@@ -399,33 +396,32 @@ def _node_columns(g: GameInstance, context_tree: BinaryTree) -> np.ndarray:
 
 def dual_value(g: GameInstance, s: DualStrategy) -> float:
     """Expected regret when the adversary commits to (x, p) trees and the
-    player best-responds with p-hat = p; paths through a branch of
-    probability exactly zero are skipped.
+    player best-responds with p-hat = p; every branch probability must lie
+    in [0, 1].  A path is reached while the player's loss on it is finite:
+    a branch of probability exactly 0 costs +inf, and is skipped.
 
-    One pass over the tree levels.  Round t first checks the nodes such
-    paths reach (ValueError where the rule does not offer the context,
-    KeyError where the class lacks it): under StaticContexts only nodes
-    with a negative column, under any other rule `available` on each
-    reached node's history.  It then extends every prefix's path
-    probability and the player's and each expert's loss: row y of the
-    level's (2, nodes) step extends it by outcome y, so the next level
-    holds the outcome-0 children, then the outcome-1 children (see
-    BinaryTree.level).  The reached mask is carried only when a check is
-    needed or some branch is exactly zero.  Branch probabilities, the
-    player's losses and every node's expert log-likelihoods are taken once
-    for the whole tree.
+    One pass over the tree levels.  Round t first checks the nodes that
+    reached prefixes lead to (ValueError where the rule does not offer the
+    context, KeyError where the class lacks it): under StaticContexts only
+    nodes with a negative column, under any other rule `available` on each
+    such node's history.  It then extends every prefix's path probability
+    and the player's and each expert's loss: row y of the level's
+    (2, nodes) step extends it by outcome y, so the next level holds the
+    outcome-0 children, then the outcome-1 children (see
+    BinaryTree.level).  Branch probabilities, the player's losses and
+    every node's expert log-likelihoods are taken once for the whole tree.
     """
     n = g.horizon
     if s.context_tree.depth != n:
         raise ValueError("tree depth must equal the horizon")
     _check_paths(n)
     p = s.prob_tree.values.astype(float)
+    if not (p.min() >= 0.0 and p.max() <= 1.0):
+        raise ValueError("branch probabilities must lie in [0, 1]")
     branch = np.stack((1.0 - p, p))
-    open_branch = branch != 0.0
     columns = _node_columns(g, s.context_tree)
     static = _static(g)
     check = not static or columns.min() < 0
-    masked = check or not open_branch.all()
     histories = None if static else _level_histories(s.context_tree)
     losses = log_loss(p, np.array([[0], [1]]))
     ec = g.expert_class
@@ -433,12 +429,12 @@ def dual_value(g: GameInstance, s: DualStrategy) -> float:
     lik = ec.log_lik.transpose(0, 2, 1).take(np.maximum(columns, 0), axis=1)
     prob, player = np.ones(1), np.zeros(1)
     experts = np.zeros((1, ec.n_experts))  # (prefix, expert)
-    reached = np.ones(1, dtype=bool)
     for t in range(1, n + 1):
         level = BinaryTree.level_slice(t)
         if check:
             xs, cols = s.context_tree.level(t), columns[level]
             hs = None if static else next(histories)
+            reached = np.isfinite(player)
             for q in np.flatnonzero(reached & (cols < 0) if static else reached):
                 if (cols[q] == -2 if static
                         else xs[q] not in g.availability.available(hs[q])):
@@ -448,9 +444,8 @@ def dual_value(g: GameInstance, s: DualStrategy) -> float:
         prob = (prob * branch[:, level]).ravel()
         player = (player + losses[:, level]).ravel()
         experts = (experts - lik[:, level]).reshape(-1, ec.n_experts)
-        if masked:
-            reached = (reached & open_branch[:, level]).ravel()
-    if masked:
+    reached = np.isfinite(player)
+    if not reached.all():
         prob, player, experts = prob[reached], player[reached], experts[reached]
     best = experts.min(axis=1)
     with np.errstate(invalid="ignore"):
@@ -569,18 +564,21 @@ class FixedSequence:
         return self.outcomes[len(history)]
 
 
-class StochasticAdversary:
-    """Contexts from a tree, outcomes drawn from a probability tree.
+@dataclass
+class StochasticAdversary(DualStrategy):
+    """A DualStrategy played out: contexts from its context tree, outcomes
+    drawn from its probability tree by an RNG seeded with `seed`.
 
     Each round's node is read from the history: round len(history) + 1, at
     the prefix of the outcomes played so far.  The adversary keeps no state
     of a run, so it may play several; its RNG stream continues from one run
     to the next."""
 
-    def __init__(self, context_tree: BinaryTree, prob_tree: BinaryTree, seed=0):
-        self.context_tree = context_tree
-        self.prob_tree = prob_tree
-        self.rng = np.random.default_rng(seed)
+    seed: int = 0
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.rng = np.random.default_rng(self.seed)
 
     def context(self, history):
         return self.context_tree.get(*_node(history))
@@ -608,6 +606,10 @@ def run_strategy(g: GameInstance, strategy, adversary) -> RegretTrace:
     if isinstance(adversary, FixedSequence) and len(adversary.outcomes) < g.horizon:
         raise ValueError(f"fixed sequence of {len(adversary.outcomes)} rounds is "
                          f"shorter than the horizon {g.horizon}")
+    if (isinstance(adversary, StochasticAdversary)
+            and adversary.context_tree.depth < g.horizon):
+        raise ValueError(f"adversary trees of depth {adversary.context_tree.depth} "
+                         f"are shallower than the horizon {g.horizon}")
     history = ()
     predictions, outcomes, contexts = [], [], []
     for _ in range(g.horizon):

@@ -29,6 +29,7 @@ from .core import (
     ESTIMATION_CONSTANT,
     BinaryTree,
     _block_values,
+    clip_prob,
     eta,
     kl_bernoulli,
     log_loss,
@@ -243,7 +244,7 @@ def _check_clipping(resolution):
         f"p in [0,1], delta in ({resolution:g},0.5] step {resolution:g}, "
         "y in {0,1}",
         _block_values(
-            lambda p, d, y, lp: lp + 2.0 * d - log_loss(np.clip(p, d, 1.0 - d), y),
+            lambda p, d, y, lp: lp + 2.0 * d - log_loss(clip_prob(p, d), y),
             p, d, y, log_loss(p, y),
         ),
         (p, d, y),

@@ -100,11 +100,19 @@ def test_datasets_need_known_centers_and_binary_outcomes():
         (batch, [(10, 1), (0, 1)], 0),
         (batch, [(1, 2), (0, 1)], 0),  # unchecked, two ones
         (batch, [(0, 1), (-1, 0)], 1),
+        # checked before the cast to ints, which truncates 0.7 and 0.9 to 0
+        (batch, [(0.7, 1.0), (1.0, 0.9)], 0),
+        (regret, [(1.0, 0.0), (1.0, 0.9)], 1),
+        (batch, [(0.0, 1.0), (math.nan, 0.0)], 1),
+        (regret, [(0.0, 1.0), (2.0, math.inf)], 1),
     ]
     for call, data, row in cases:
         message = f"dataset row {row} is {data[row]}: a row needs a center in [0, 4)"
         with pytest.raises(ValueError, match=re.escape(message)):
             call(data)
+    # whole floats are whole numbers
+    assert (batch([(0.0, 1.0), (1.0, 0.0)]).table.tolist()
+            == batch([(0, 1), (1, 0)]).table.tolist())
 
 
 def test_bayes_posterior_moves_right_way():

@@ -5,7 +5,6 @@ import pytest
 
 from logloss_lab.bounds import (
     BoundParams,
-    _warm_starts,
     fit_rate_exponent,
     golden_section,
     rate_exponents,
@@ -61,7 +60,7 @@ def test_single_scale_general_power():
 
 
 def test_single_scale_zero_entropy():
-    val, _ = self_concordance_bound(EntropyCurve.zero(), 100)
+    val, _ = self_concordance_bound(EntropyCurve.power(0.0, 1.0), 100)
     assert val <= 1e-20
 
 
@@ -118,7 +117,7 @@ def test_truncation_value_scale():
 
 
 def test_truncation_zero_entropy():
-    val, _ = truncation_bound(EntropyCurve.zero(), 100)
+    val, _ = truncation_bound(EntropyCurve.power(0.0, 1.0), 100)
     assert val < 1.0
 
 
@@ -138,24 +137,22 @@ def test_rate_exponents_table():
         rate_exponents(0.0)
 
 
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-def test_rate_report_params_are_the_first_warm_start(p):
-    # the truncation bound's stated parameter regime is where its
-    # optimiser starts; at p = 2 both take the middle regime
-    n = 2**10
-
-    def at_n(expr):  # "1" or "n^(-a/b)"
-        if expr == "1":
-            return 1.0
-        a, b = expr[len("n^(-"):-1].split("/")
-        return n ** (-float(a) / float(b))
-
-    stated = rate_exponents(p).old_params.split(", ")
-    stated = dict(part.split(" = ") for part in stated)
-    start = _warm_starts(EntropyCurve.power(1.0, p), n, np.random.default_rng(0))[0]
-    assert start == pytest.approx(
-        tuple(at_n(stated[k]) for k in ("gamma", "delta", "alpha")), rel=1e-12
-    )
+@pytest.mark.parametrize("gammas, uppers, n", [
+    ((0.01, 0.1, 0.5, 1.0), (100.0, 99.0, 1.0, 0.0), 100),
+    ((0.001, 0.3, 0.6, 0.9), (50.0, 49.5, 2.0, 1.9), 30),
+    ((0.5, 2.0), (1.0, 1.0), 10),  # the infimum is the gamma -> 0 limit
+])
+def test_single_scale_bound_on_tabulated_curve_is_exact(gammas, uppers, n):
+    # the objective is piecewise linear, so a dense geometric grid over
+    # (0, 1] comes within its spacing of the exact infimum, from above
+    H = EntropyCurve.tabulated(gammas, np.zeros(len(gammas)), uppers)
+    value, gamma = self_concordance_bound(H, n)
+    grid = np.geomspace(1e-12, 1.0, 2 * 10**6)
+    objective = 4.0 * n * grid + ESTIMATION_CONSTANT * np.interp(grid, gammas, uppers)
+    i = int(np.argmin(objective))
+    assert value <= objective[i]
+    assert value == pytest.approx(objective[i], rel=1e-4)
+    assert gamma == pytest.approx(grid[i], rel=1e-4, abs=1e-11)
 
 
 def test_fit_single_scale_exponents():
@@ -293,7 +290,7 @@ def _curves_of_every_kind():
     return [
         EntropyCurve.power(1.0, 0.5),
         EntropyCurve.power(1.0, 2.0),
-        EntropyCurve.zero(),
+        EntropyCurve.power(0.0, 1.0),
         EntropyCurve.log_form(2.0),
         EntropyCurve.tabulated(gammas, 0.5 / gammas, 1.0 / gammas),
     ]

@@ -241,6 +241,14 @@ def test_clip_prob():
         clip_prob(0.5, 0.0)
     with pytest.raises(ValueError):
         clip_prob(0.5, 0.7)
+    # an array delta clips element by element, as np.clip does
+    rng = np.random.default_rng(3)
+    p = rng.uniform(-0.2, 1.2, size=(50, 1))
+    d = np.append(rng.uniform(1e-6, 0.5, size=39), 0.5)
+    assert np.array_equal(clip_prob(p, d), np.clip(p, d, 1.0 - d))
+    for bad in (0.0, -0.1, 0.6, math.nan):
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1/2\]"):
+            clip_prob(p, np.append(d[1:], bad))
 
 
 def test_psi_matches_definition():

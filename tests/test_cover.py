@@ -386,7 +386,7 @@ def test_entropy_curve_log_cases():
 
 
 def test_entropy_curve_misc():
-    assert EntropyCurve.zero().value(0.3) == 0.0
+    assert EntropyCurve.power(0.0, 1.0).value(0.3) == 0.0
     Hlog = EntropyCurve.log_form(2.0)
     assert Hlog.value(0.25) == pytest.approx(2.0 * math.log(4))
     with pytest.raises(ValueError):
@@ -450,7 +450,7 @@ def test_tabulated_curve_closed_forms(table, sqrt):
     [
         EntropyCurve.power(2.0, 1.5),
         EntropyCurve.power(1.0, 2.0),
-        EntropyCurve.zero(),
+        EntropyCurve.power(0.0, 1.0),
         EntropyCurve.log_form(2.0),
         EntropyCurve.tabulated([0.6, 0.1, 0.3], [0.0] * 3, [2.0, 0.0, 1.5]),
     ],

@@ -487,21 +487,40 @@ def _check_worst_cases(g):
         assert got[1] == pytest.approx(want[1], abs=1e-12)
 
 
+class _CountingSame(_SameEveryRound):
+    """_SameEveryRound that counts the histories it is asked about."""
+
+    asked = 0
+
+    def available(self, history):
+        self.asked += 1
+        return super().available(history)
+
+
 def test_unreachable_histories_same_message_on_both_tables():
+    # the table is the one reachability check: the rule is never asked
     ec = ExpertClass(contexts=["a", "b"], experts=[[0.2, 0.6], [0.8, 0.4]])
     count = GameInstance(3, ec, StaticContexts(["a"]))
-    hist = GameInstance(3, ec, _SameEveryRound(["a"]))
+    rule = _CountingSame(["a"])
+    hist = GameInstance(3, ec, rule)
+    exact_minimax(hist)  # builds the table
+    rule.asked = 0
     for history in ((("b", 1),), (("a", 2),), (("a", 0), ("c", 1)),
                     (("a", 1.0),), (("a", "1"),), ((["a"], 0),),
-                    (("a", -1),), (("a", None),)):
+                    (("a", -1),), (("a", None),), (("a", 0),) * 3, (("a", 1),) * 4):
         got = _or_error(optimal_prediction, count, history, "a")
         assert got == "history not reachable under the availability rule"
         assert _or_error(optimal_prediction, hist, history, "a") == got
+    # a context not offered next: in the class, unknown, unhashable
+    for x in ("b", "z", ["a"]):
+        for g in (count, hist):
+            assert _or_error(optimal_prediction, g, (("a", 1),), x) == got
     # a bool or numpy integer outcome is that outcome on both tables
     for g in (count, hist):
         one = optimal_prediction(g, (("a", 1),), "a")
         for y in (True, np.int64(1)):
             assert optimal_prediction(g, (("a", y),), "a") == one
+    assert rule.asked == 0
     ctx = [(), (0,), (1,)]
     prev = GameInstance(2, ExpertClass(ctx, np.full((2, 3), 0.5)),
                         PreviousOutcomes())
@@ -684,6 +703,17 @@ def test_dual_zero_prob_branches():
     assert dual_value(g, s) == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("p", [1.5, -0.2, math.nan])
+def test_dual_value_rejects_branch_probabilities_outside_0_1(p):
+    g = GameInstance(horizon=2, expert_class=ExpertClass.constants([0.3, 0.7]))
+    s = DualStrategy(
+        context_tree=BinaryTree(2, values=np.zeros(3, dtype=object)),
+        prob_tree=BinaryTree(2, values=[0.5, p, 0.5]),
+    )
+    with pytest.raises(ValueError, match=r"branch probabilities must lie in \[0, 1\]"):
+        dual_value(g, s)
+
+
 def test_minimax_strategy_achieves_value():
     ec = ExpertClass(
         contexts=[0, 1], experts=[[0.3, 0.6], [0.7, 0.2]]
@@ -752,6 +782,25 @@ def test_stochastic_adversary_replays_a_run():
     for _ in range(2):
         trace = run_strategy(g, ConstantStrategy(0.4), adv)
         assert (trace.contexts, trace.outcomes) == (contexts, outcomes)
+
+
+def test_stochastic_adversary_is_a_dual_strategy():
+    ec = ExpertClass(contexts=["a", "b"], experts=[[0.2, 0.9], [0.6, 0.3]])
+    rng = np.random.default_rng(4)
+    ctx = BinaryTree(3, values=rng.choice(np.array(["a", "b"], dtype=object), 7))
+    prob = BinaryTree(3, values=rng.uniform(size=7))
+    with pytest.raises(ValueError, match="must share depth"):
+        StochasticAdversary(ctx, BinaryTree(2, fill=0.5))
+    adv = StochasticAdversary(ctx, prob, seed=1)
+    assert isinstance(adv, DualStrategy)
+    g = GameInstance(horizon=3, expert_class=ec)
+    assert dual_value(g, adv) == dual_value(g, DualStrategy(ctx, prob))
+    with pytest.raises(ValueError, match="adversary trees of depth 3 are "
+                                         "shallower than the horizon 4"):
+        run_strategy(GameInstance(4, ec), ConstantStrategy(0.5), adv)
+    # deeper trees play their first rounds
+    trace = run_strategy(GameInstance(2, ec), ConstantStrategy(0.5), adv)
+    assert len(trace.outcomes) == 2
 
 
 def test_fixed_sequence_shorter_than_horizon():
