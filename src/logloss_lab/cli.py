@@ -134,7 +134,8 @@ def _effective_config(args) -> dict:
 
 
 def _apply_config_file(parser, argv):
-    """Pull defaults from --config JSON before the real parse.
+    """Pull defaults from --config JSON before the real parse; return the
+    argv to parse and the command line's own tokens after the subcommand.
 
     The file's flags go right after the subcommand, so a flag also given on
     the command line comes later and wins, by argparse's own rule."""
@@ -168,7 +169,38 @@ def _apply_config_file(parser, argv):
             elif v:  # a switch takes no value; a true one turns it on
                 flags.append(flag)
         argv[1:1] = flags
-    return argv
+        return argv, argv[1 + len(flags):]
+    return argv, argv[1:]
+
+
+# The flags that a subcommand's mode does not read: parsed args -> (the
+# mode, the dests of the flags it leaves unread)
+_UNREAD = {
+    "cover": lambda a: ("without --class", ("n",) if a.class_file is None else ()),
+    "assouad": lambda a: (
+        ("with --scaling", ("n",)) if a.scaling
+        else ("without --scaling", ("n_grid", "n_seeds", "strategy", "seed"))
+    ),
+}
+
+
+def _check_flags_read(args, command_line):
+    """Raise ValueError naming a flag that `command_line` (the tokens after
+    the subcommand) gives and args' mode does not read.  A config file
+    holds defaults, and an emitted config lists every flag, so the flags it
+    sets are not checked."""
+    if args.subcommand not in _UNREAD:
+        return
+    mode, unread = _UNREAD[args.subcommand](args)
+    # a fresh parser with no defaults keeps only the flags the tokens give
+    sp = build_parser()._subparsers._group_actions[0].choices[args.subcommand]
+    for action in sp._actions:
+        action.default, action.required = argparse.SUPPRESS, False
+    given = vars(sp.parse_args(command_line))
+    for dest in unread:
+        if dest in given:
+            flag = "--" + dest.replace("_", "-")
+            raise ValueError(f"{args.subcommand} {flag} is not read {mode}")
 
 
 def _add_common(sp):
@@ -456,8 +488,9 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
+        argv, command_line = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
+        _check_flags_read(args, command_line)
         if args.emit_config is not None:
             with open(args.emit_config, "w") as f:
                 f.write(_json(_effective_config(args)))

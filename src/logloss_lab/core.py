@@ -245,10 +245,12 @@ def _block_values(expr, *arrays):
 
 
 def _elementwise(expr, *arrays):
-    """expr(*arrays) for an element-by-element expr of float arrays that
+    """expr(*arrays) for an element-by-element expr of arrays that
     broadcast together, evaluated one block at a time when the broadcast
     shape holds more than _BLOCK elements.  Every output element is
     computed by the same operations on the same inputs as in one call.
+    Beyond its output, a call holds what expr makes of one block, so an
+    expr that casts its arguments holds O(_BLOCK) elements per input.
 
     The product of the input sizes bounds the broadcast size, so a small
     call makes no numpy call before expr.
@@ -270,8 +272,20 @@ def _elementwise(expr, *arrays):
 
 def _kernel(expr, *inputs):
     """An array kernel: expr over the inputs as float arrays, through
-    _elementwise; a float when every input is 0-d."""
-    out = _elementwise(expr, *(np.asarray(x, dtype=float) for x in inputs))
+    _elementwise; a float when every input is 0-d.
+
+    An ndarray of bool, integer or floating dtype is cast to float one
+    block at a time, in the one-call path too, so a kernel holds its output
+    plus O(_BLOCK) elements per input whatever the input's real dtype.  Any
+    other input (a list, or an object, complex or str array) is cast whole
+    up front.  Either way expr sees the same float64 values.
+    """
+    # np.asarray(x) drops an ndarray subclass (a matrix, a masked array) as
+    # the whole cast did, without copying the data
+    arrays = [np.asarray(x) if isinstance(x, np.ndarray) and x.dtype.kind in "biuf"
+              else np.asarray(x, dtype=float) for x in inputs]
+    out = _elementwise(
+        lambda *parts: expr(*(np.asarray(a, dtype=float) for a in parts)), *arrays)
     return float(out) if all(_is_0d(x) for x in inputs) else out
 
 

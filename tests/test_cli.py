@@ -502,6 +502,50 @@ def test_flags_belong_to_their_subcommands(class_file, capsys):
     assert main(["minimax", "--help"]) == 0
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["cover", "--n", "3"], "cover --n is not read without --class"),
+    (["cover", "--gammas", "0.5", "--n=2"], "cover --n is not read without --class"),
+    (["assouad", "--scaling", "--n-grid", "64,128", "--n", "64"],
+     "assouad --n is not read with --scaling"),
+    (["assouad", "--n-grid", "64,128"], "assouad --n-grid is not read without --scaling"),
+    (["assouad", "--n-seeds", "3"], "assouad --n-seeds is not read without --scaling"),
+    (["assouad", "--strategy", "empirical"],
+     "assouad --strategy is not read without --scaling"),
+    (["assouad", "--n", "64", "--seed", "1"], "assouad --seed is not read without --scaling"),
+])
+def test_flags_a_mode_does_not_read_exit_2(argv, flag, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    assert main([*argv, "--emit-config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {flag}\n"
+    assert not cfg.exists()  # refused before anything is written
+
+
+def test_flags_a_mode_reads_keep_their_output(class_file, tmp_path, capsys):
+    # each mode still takes its own flags, and an emitted config, which
+    # lists every flag, still runs: a config file holds defaults
+    for argv in (["cover", "--gammas", "0.25,0.125"],
+                 ["cover", "--class", class_file, "--n", "2", "--gammas", "0.5"],
+                 ["assouad", "--p", "1", "--n", "64"],
+                 ["assouad", "--scaling", "--p", "1", "--n-grid", "64,128",
+                  "--n-seeds", "2", "--strategy", "empirical", "--seed", "3"]):
+        cfg = tmp_path / "cfg.json"
+        assert main([*argv, "--emit-config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert main(["--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == out
+    emitted = json.loads(cfg.read_text())
+    assert emitted["n"] == 1024  # the unread default is listed
+    # a config default is not checked, and a command-line flag that the
+    # config's mode reads is
+    cfg.write_text(json.dumps({"subcommand": "cover", "n": 5}))
+    assert main(["--config", str(cfg), "--gammas", "0.5"]) == 0
+    cfg.write_text(json.dumps({"subcommand": "cover", "class_file": class_file}))
+    assert main(["--config", str(cfg), "--n", "2", "--gammas", "0.5"]) == 0
+    cfg.write_text(json.dumps({"subcommand": "assouad", "scaling": True}))
+    assert main(["--config", str(cfg), "--n", "64"]) == 2
+    assert "assouad --n is not read with --scaling" in capsys.readouterr().err
+
+
 def test_module_entry_point_runs_without_warning():
     # run the same package the tests import
     src = os.path.dirname(os.path.dirname(logloss_lab.__file__))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -294,17 +295,44 @@ def test_psi_of_nan_p_is_nan():
 
 # Blocked kernels: a call over more than core._BLOCK broadcast elements is
 # evaluated a block at a time; it must equal the one-call evaluation, which
-# the kernels take when _BLOCK is raised past the input size.
+# the kernels take when _BLOCK is raised past the input size.  An input of a
+# real dtype other than float64 is cast a block at a time, so the blocked
+# call on it must equal the one call on the same values cast to float64
+# first.  One input of each kernel is cast(x) for a float64 x: p for psi,
+# the only input of phi and omega, and the second input of the others.
 
 KERNELS = {
-    "log_loss": lambda a, b: log_loss(a, b > 0.5),
-    "eta": lambda a, b: eta(a, (b > 0.5).astype(float)),
-    "phi": lambda a, b: phi(40.0 * a - 20.0 * b),
-    "omega": lambda a, b: omega(50.0 * a * b),
-    "kl_bernoulli": kl_bernoulli,
-    "clip_prob": lambda a, b: clip_prob(a * b, 0.1),
-    "psi": lambda a, b: psi(a, 0.31, a - b),
+    "log_loss": lambda a, b, cast: log_loss(a, cast(b)),
+    "eta": lambda a, b, cast: eta(a, cast(b)),
+    "phi": lambda a, b, cast: phi(cast(40.0 * a - 20.0 * b)),
+    "omega": lambda a, b, cast: omega(cast(50.0 * a * b)),
+    "kl_bernoulli": lambda a, b, cast: kl_bernoulli(a, cast(b)),
+    "clip_prob": lambda a, b, cast: clip_prob(cast(a * b), 0.1),
+    "psi": lambda a, b, cast: _psi_case(cast(a), b),
 }
+
+
+def _psi_case(p, b):
+    return psi(p, 0.31, p - b)  # v in [p - 1, p] for b in [0, 1]
+
+
+DTYPES = (np.float64, np.float32, np.int64, np.bool_)
+
+
+def _cast_to(dtype):
+    """x in `dtype`: a float dtype rounds x and keeps its NaNs; int64 and
+    bool take x > 0.5, the outcome a probability x draws."""
+    if np.dtype(dtype).kind == "f":
+        return lambda x: x.astype(dtype)
+    return lambda x: (x > 0.5).astype(dtype)
+
+
+def _with_dtypes(values):
+    """(value, dtype) cases; a float64 case keeps the value's own id."""
+    return [
+        pytest.param(v, dt, id=str(v) if dt is np.float64 else f"{v}-{np.dtype(dt)}")
+        for v in values for dt in DTYPES
+    ]
 
 
 def _kernel_inputs(shape_a, shape_b, seed=0):
@@ -326,34 +354,84 @@ def _one_call(monkeypatch, fn, *args):
         return fn(*args)
 
 
-def _assert_blocked_equals_one_call(monkeypatch, fn, *args):
+def _assert_blocked_equals_one_call(monkeypatch, fn, *args, one_call_args=None):
     with np.errstate(all="ignore"):
         got = fn(*args)
-        want = _one_call(monkeypatch, fn, *args)
+        want = _one_call(monkeypatch, fn, *(one_call_args or args))
     assert got.shape == want.shape
     assert np.array_equal(got, want, equal_nan=True)
 
 
+def _assert_blocked_equals_float_one_call(monkeypatch, name, dtype, a, b):
+    cast = _cast_to(dtype)
+    _assert_blocked_equals_one_call(
+        monkeypatch, KERNELS[name], a, b, cast,
+        one_call_args=(a, b, lambda x: cast(x).astype(np.float64)))
+
+
 @pytest.mark.parametrize("name", sorted(KERNELS))
-@pytest.mark.parametrize("offset", ["1", "B-1", "B", "B+1", "3B+7"])
-def test_blocked_kernels_match_one_call_by_size(name, offset, monkeypatch):
+@pytest.mark.parametrize("offset, dtype",
+                         _with_dtypes(["1", "B-1", "B", "B+1", "3B+7"]))
+def test_blocked_kernels_match_one_call_by_size(name, offset, dtype, monkeypatch):
     B = core_mod._BLOCK
     size = {"1": 1, "B-1": B - 1, "B": B, "B+1": B + 1, "3B+7": 3 * B + 7}[offset]
     a, b = _kernel_inputs(size, size)
-    _assert_blocked_equals_one_call(monkeypatch, KERNELS[name], a, b)
+    _assert_blocked_equals_float_one_call(monkeypatch, name, dtype, a, b)
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
-@pytest.mark.parametrize("block", [None, 7])
-def test_blocked_kernels_match_one_call_broadcast(name, block, monkeypatch):
+@pytest.mark.parametrize("block, dtype", _with_dtypes([None, 7]))
+def test_blocked_kernels_match_one_call_broadcast(name, block, dtype, monkeypatch):
     if block is not None:
         monkeypatch.setattr(core_mod, "_BLOCK", block)
     m = 40 if block else 200  # m^2 is past the block either way
     a, b = _kernel_inputs((m, 1), (m, m), seed=1)
-    fn = KERNELS[name]
-    _assert_blocked_equals_one_call(monkeypatch, fn, a, b)
-    _assert_blocked_equals_one_call(monkeypatch, fn, a, b[:1, :])
-    _assert_blocked_equals_one_call(monkeypatch, fn, a[None, :, :], b[None, :1, :])
+    for a, b in ((a, b), (a, b[:1, :]), (a[None, :, :], b[None, :1, :])):
+        _assert_blocked_equals_float_one_call(monkeypatch, name, dtype, a, b)
+
+
+def test_kernels_cast_other_inputs_whole_as_before():
+    # a list, or an object, complex or str array, is cast to float up front,
+    # so it keeps the float cast's values, warnings and errors
+    B = core_mod._BLOCK
+    p, _ = _kernel_inputs(2 * B + 3, 1, seed=2)
+    y = (p > 0.5).astype(np.int64)
+    want = log_loss(p, y)
+    assert np.array_equal(log_loss(p, y.tolist()), want, equal_nan=True)
+    z = 40.0 * p - 20.0
+    held = z.astype(object)
+    held[::7] = None  # float(None) is an error, but numpy's cast reads NaN
+    got = phi(held)
+    assert np.isnan(got[::7]).all()
+    keep = np.ones(z.size, dtype=bool)
+    keep[::7] = False
+    assert np.array_equal(got[keep], phi(z)[keep], equal_nan=True)
+    with pytest.warns(np.exceptions.ComplexWarning, match="discards the imaginary"):
+        got = phi(z + 1j)
+    assert np.array_equal(got, phi(z), equal_nan=True)
+    assert np.array_equal(phi(z.astype(str)), phi(z), equal_nan=True)
+    text = z.astype(str)
+    text[-1] = "x"
+    with pytest.raises(ValueError) as cast_error:
+        np.asarray(text, dtype=float)
+    with pytest.raises(ValueError) as kernel_error:
+        phi(text)
+    assert str(kernel_error.value) == str(cast_error.value)
+
+
+def test_kernels_hold_output_plus_blocks():
+    # int64 outcomes are cast a block at a time, not copied whole to float64
+    rng = np.random.default_rng(0)
+    p = rng.uniform(size=1 << 20)
+    y = rng.integers(0, 2, size=1 << 20)
+    for fn in (log_loss, eta):
+        tracemalloc.start()
+        try:
+            out = fn(p, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + (2 << 20), (fn.__name__, peak)
 
 
 _Y01 = np.array([[0.0, 1.0]])
