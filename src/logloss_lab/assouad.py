@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _check_horizons, rate_exponents
 from .core import _check_distinct_horizons, _loglog_slope, kl_bernoulli, log_loss
 
 __all__ = [
@@ -200,13 +201,10 @@ def integer_dimension(p: float) -> int:
 
 
 def lower_bound_value(p: float, n: int):
-    """The n^{p/(p+1)}/128 lower bound and the epsilon it uses."""
-    if not n >= 1:
-        raise ValueError("n must be >= 1")
-    if not (math.isfinite(p) and p > 0):
-        raise ValueError(f"p must be finite and positive, got {p!r}")
-    eps = n ** (-1.0 / (p + 1.0)) / 8.0
-    return n ** (p / (p + 1.0)) / 128.0, eps
+    """The n^{p/(p+1)}/128 lower bound and its epsilon n^{-1/(p+1)}/8."""
+    _check_horizons((n,))
+    rate = rate_exponents(p).new_exponent
+    return n**rate / 128.0, n ** (-1.0 / (p + 1.0)) / 8.0
 
 
 def check_class_horizon(n: int) -> None:
@@ -256,11 +254,8 @@ def scaling_experiment(
     """
     dim = integer_dimension(p)
     ns = [int(n) for n in n_grid]
-    if len(set(ns)) < 2:
-        raise ValueError("need at least two distinct horizons")
     _check_distinct_horizons(ns)
-    if min(ns) < 1:
-        raise ValueError(f"horizons must be >= 1, got {min(ns)}")
+    _check_horizons(ns)
     check_class_horizon(min(ns))
     seeds = list(seeds)
     if not seeds:

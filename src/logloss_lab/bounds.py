@@ -28,6 +28,7 @@ __all__ = [
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
+_MAX_HORIZON = math.isqrt(int(np.finfo(float).max))  # its square is a double
 
 
 @dataclass
@@ -74,6 +75,14 @@ def golden_section(f, lo: float, hi: float, tol: float = 1e-8) -> float:
     return (lo + hi) / 2.0
 
 
+def _check_horizons(ns) -> None:
+    """Raise, naming the first, unless every horizon n is >= 1 with n^2 a
+    finite double (the single-scale bracket starts at 1/n^2)."""
+    for n in ns:
+        if not 1 <= n <= _MAX_HORIZON:
+            raise ValueError(f"horizons must be >= 1 with n^2 a double, got n = {n}")
+
+
 def self_concordance_bound(H: EntropyCurve, n: int):
     """Infimum over gamma in (0, 1] of 4*n*gamma + c*H(gamma); returns
     (value, gamma_star).  On a tabulated curve it is exact: the objective
@@ -82,8 +91,7 @@ def self_concordance_bound(H: EntropyCurve, n: int):
     golden section's bracket extends below 1/n^2 while the lower endpoint
     keeps winning, so flat curves drive the value to zero.  An H(gamma)
     that overflows counts as +inf."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_horizons((n,))
     c = ESTIMATION_CONSTANT
     if H.kind == "tabulated":
         knots = [*H.gammas[H.gammas < 1.0].tolist(), 1.0]
@@ -280,8 +288,7 @@ def truncation_bound(H: EntropyCurve, n: int, seed: int = 0):
     alpha) by log-space coordinate descent from analytic warm starts plus
     random restarts.  Each coordinate moves by a golden section on the
     objective restricted to that coordinate.  Returns (value, BoundParams)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_horizons((n,))
     obj = _truncation_objective(H, n)
     over_gamma, over_delta, over_alpha = _line_objectives(H, n)
     rng = np.random.default_rng(seed)
@@ -346,15 +353,11 @@ def fit_rate_exponent(bound: str, C: float, p: float, n_grid) -> float:
     if len(n_grid) < 6:
         raise ValueError("need at least 6 grid points")
     _check_distinct_horizons(n_grid)
+    _check_horizons(n_grid)
     H = EntropyCurve.power(C, p)
     _check_has_rate(H)
-    vals = []
-    for n in n_grid:
-        if bound == "self_concordance":
-            v, _ = self_concordance_bound(H, n)
-        elif bound == "truncation":
-            v, _ = truncation_bound(H, n)
-        else:
-            raise ValueError(f"unknown bound: {bound!r}")
-        vals.append(v)
-    return _loglog_slope(n_grid, vals)
+    solve = {"self_concordance": self_concordance_bound,
+             "truncation": truncation_bound}.get(bound)
+    if solve is None:
+        raise ValueError(f"unknown bound: {bound!r}")
+    return _loglog_slope(n_grid, [solve(H, n)[0] for n in n_grid])

@@ -24,7 +24,8 @@ from . import bounds as bounds_mod
 from . import cover as cover_mod
 from . import game as game_mod
 from . import verify as verify_mod
-from .core import BinaryTree, ExpertClass, _check_distinct_horizons, _loglog_slope
+from .core import (BinaryTree, ExpertClass, _check_distinct_horizons,
+                   _check_paths, _loglog_slope)
 
 __all__ = ["main"]
 
@@ -266,6 +267,7 @@ def _cmd_cover(args):
             # the covered tree shows one context at every node
             raise ValueError("cover --class needs a class with one context, "
                              f"got {len(ec.contexts)}")
+        _check_paths(args.n)
         ctx = ec.contexts[0]
         x = BinaryTree(args.n, values=np.array([ctx] * ((1 << args.n) - 1),
                                                dtype=object))
@@ -309,9 +311,8 @@ def _cmd_cover(args):
 def _cmd_bounds(args):
     H = _parse_entropy(args.entropy)
     ns = _parse_n_grid(args.n_grid)
+    bounds_mod._check_horizons(ns)  # every horizon before any bound runs
     if args.fit:
-        if len(set(ns)) < 2:
-            raise ValueError("--fit needs at least two distinct horizons")
         _check_distinct_horizons(ns)
         bounds_mod._check_has_rate(H)
     rows = []
@@ -379,12 +380,8 @@ def _cmd_assouad(args):
     if args.scaling:
         ns = _parse_n_grid(args.n_grid)
         seeds = list(range(args.n_seeds))
-        if args.strategy == "bayes":
-            factory = assouad_mod.SignClassBayes
-        elif args.strategy == "empirical":
-            factory = assouad_mod.EmpiricalMeanStrategy
-        else:
-            raise ValueError(f"unknown strategy: {args.strategy!r}")
+        factory = {"bayes": assouad_mod.SignClassBayes,
+                   "empirical": assouad_mod.EmpiricalMeanStrategy}[args.strategy]
         res = assouad_mod.scaling_experiment(
             args.p, ns, factory, seeds, master_seed=args.seed
         )
@@ -475,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scaling", action="store_true")
     sp.add_argument("--n-grid", default="2^8..2^14")
     sp.add_argument("--n-seeds", type=int, default=11)
-    sp.add_argument("--strategy", default="bayes")
+    sp.add_argument("--strategy", choices=("bayes", "empirical"), default="bayes")
     sp.add_argument("--seed", type=int, default=0)
     _add_common(sp)
     sp.set_defaults(func=_cmd_assouad)

@@ -30,10 +30,18 @@ __all__ = [
 ]
 
 # Constant in front of the entropy term of the single-scale regret bound,
-# and its reciprocal, the largest exponential-moment parameter for which
-# sup_{p,v} psi(p, lam, v) <= 1.
+# and its reciprocal, an exponential-moment parameter for which
+# sup_{p,v} psi(p, lam, v) <= 1: sufficient, not the largest (about 0.429).
 ESTIMATION_CONSTANT = (2.0 - math.log(2.0)) / (math.log(3.0) - math.log(2.0))
 LAMBDA_STAR = 1.0 / ESTIMATION_CONSTANT
+PATH_GUARD = 1 << 20  # outcome paths of the deepest tree built, depth 20
+
+
+def _check_paths(depth: int) -> None:
+    """Raise before a tree of more than PATH_GUARD outcome paths is built;
+    depths are compared, so a huge depth costs nothing."""
+    if depth > PATH_GUARD.bit_length() - 1:
+        raise ValueError(f"too many paths: a depth-{depth} tree, past PATH_GUARD")
 
 
 class BinaryTree:
@@ -290,9 +298,11 @@ def _kernel(expr, *inputs):
 
 
 def _check_distinct_horizons(ns) -> None:
-    """Raise if a log-log fit's horizon grid repeats a horizon, which the
-    fit would weigh twice."""
+    """Raise unless a log-log fit's horizon grid holds at least two distinct
+    horizons and repeats none, which the fit would weigh twice."""
     ns = list(ns)
+    if len(set(ns)) < 2:
+        raise ValueError("a log-log fit needs at least two distinct horizons")
     if len(set(ns)) != len(ns):
         dup = next(n for i, n in enumerate(ns) if n in ns[:i])
         raise ValueError(f"degenerate grid: horizon {dup} appears more than once")

@@ -303,8 +303,6 @@ def _piecewise_linear_edge(xs, hs, sqrt: bool):
     """
     xs = [float(x) for x in xs]
     hs = [float(h) for h in hs]
-    if not xs:
-        raise ValueError("tabulated curve has no points")
 
     def piece(x0, h0, x1, h1):
         if not sqrt:
@@ -349,26 +347,22 @@ class EntropyCurve:
     lowers: np.ndarray | None = None
     uppers: np.ndarray | None = None
 
-    @classmethod
-    def power(cls, C: float, p: float) -> "EntropyCurve":
-        if not (math.isfinite(C) and math.isfinite(p) and C >= 0 and p > 0):
+    def __post_init__(self):
+        """ValueError unless power has finite C >= 0 and p > 0, log finite d >= 0,
+        and tabulated three 1-D, equal-length, non-empty, finite columns with
+        positive, distinct gammas; a table's rows are sorted by gamma."""
+        kind, C, p, d = self.kind, self.C, self.p, self.d
+        if kind not in ("power", "log", "tabulated"):
+            raise ValueError(f"unknown entropy curve kind: {kind!r}")
+        if kind == "power" and not (0 <= C < math.inf and 0 < p < math.inf):
             raise ValueError(
-                f"power curve needs finite C >= 0, p > 0, got C={C!r}, p={p!r}"
-            )
-        return cls(kind="power", C=C, p=p)
-
-    @classmethod
-    def log_form(cls, d: float) -> "EntropyCurve":
-        if not (math.isfinite(d) and d >= 0):
+                f"power curve needs finite C >= 0, p > 0, got C={C!r}, p={p!r}")
+        if kind == "log" and not 0 <= d < math.inf:
             raise ValueError(f"log curve needs finite d >= 0, got d={d!r}")
-        return cls(kind="log", d=d)
-
-    @classmethod
-    def tabulated(cls, gammas, lowers, uppers) -> "EntropyCurve":
-        """The curve of three table columns, rows in any order: ValueError
-        unless they are 1-D, of one length, not empty and finite, with
-        positive and distinct gammas."""
-        cols = [np.asarray(c, dtype=float) for c in (gammas, lowers, uppers)]
+        if kind != "tabulated":
+            return
+        cols = [np.asarray(c, dtype=float)
+                for c in (self.gammas, self.lowers, self.uppers)]
         if cols[0].ndim != 1 or any(c.shape != cols[0].shape for c in cols):
             raise ValueError("tabulated curve needs three 1-D columns of one "
                              f"length, got {[c.shape for c in cols]}")
@@ -377,10 +371,22 @@ class EntropyCurve:
         if not all(np.isfinite(c).all() for c in cols):
             raise ValueError("tabulated curve entries must be finite")
         order = np.argsort(cols[0])
-        gammas, lowers, uppers = (c[order] for c in cols)
-        if gammas[0] <= 0 or np.any(gammas[1:] == gammas[:-1]):
+        self.gammas, self.lowers, self.uppers = (c[order] for c in cols)
+        if self.gammas[0] <= 0 or np.any(self.gammas[1:] == self.gammas[:-1]):
             raise ValueError("tabulated gammas must be positive and distinct, "
-                             f"got {gammas.tolist()}")
+                             f"got {self.gammas.tolist()}")
+
+    @classmethod
+    def power(cls, C: float, p: float) -> "EntropyCurve":
+        return cls(kind="power", C=C, p=p)
+
+    @classmethod
+    def log_form(cls, d: float) -> "EntropyCurve":
+        return cls(kind="log", d=d)
+
+    @classmethod
+    def tabulated(cls, gammas, lowers, uppers) -> "EntropyCurve":
+        """The curve of three table columns, rows in any order."""
         return cls(kind="tabulated", gammas=gammas, lowers=lowers, uppers=uppers)
 
     def value(self, gamma: float) -> float:

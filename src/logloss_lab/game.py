@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BinaryTree, ExpertClass, _index_of, _lookup, _outcome, log_loss
+from .core import (BinaryTree, ExpertClass, _check_paths, _index_of, _lookup,
+                   _outcome, log_loss)
 
 __all__ = [
     "AvailabilityRule",
@@ -57,7 +58,6 @@ __all__ = [
 ]
 
 STATE_GUARD = 5 * 10**6
-PATH_GUARD = 1 << 20  # outcome paths of a dual tree (2^horizon)
 TIE_TOLERANCE = 1e-12
 
 
@@ -72,15 +72,21 @@ class AvailabilityRule:
         raise NotImplementedError
 
 
+def _offer(rule: AvailabilityRule, history):
+    """rule.available(history); ValueError if it offers nothing."""
+    xs = rule.available(history)
+    if len(xs) == 0:
+        raise ValueError("availability must never be empty")
+    return xs
+
+
 class StaticContexts(AvailabilityRule):
     """The same context set every round, regardless of history."""
 
     def __init__(self, contexts):
-        contexts = tuple(contexts)
-        if not contexts:
-            raise ValueError("availability must never be empty")
-        _index_of(contexts)
-        self.contexts = contexts
+        self.contexts = tuple(contexts)
+        _offer(self, ())  # its one offer, the same for every history
+        _index_of(self.contexts)
 
     def available(self, history):
         return self.contexts
@@ -158,6 +164,12 @@ class RegretTrace:
     regret: float
 
 
+def _check_states(states) -> None:
+    """The size guard of both tables: at most STATE_GUARD nodes."""
+    if states > STATE_GUARD:
+        raise ValueError("game instance too large for exact computation")
+
+
 def _count_levels(k: int, n: int):
     """Every count state of depth 0..n over the 2k cells (context i,
     outcome y), cell 2i + y.
@@ -170,8 +182,7 @@ def _count_levels(k: int, n: int):
     0..C(t + 2k - 1, 2k - 1) - 1.
     """
     m = 2 * k
-    if math.comb(n + m, m) > STATE_GUARD:
-        raise ValueError("game instance too large for exact computation")
+    _check_states(math.comb(n + m, m))
     # binom[b, r] = C(b, r), capped above the guard, which no rank reaches
     binom = np.zeros((n + m, m), dtype=np.int64)
     binom[:, 0] = 1
@@ -284,8 +295,7 @@ class _HistoryTable(_Table):
     solver = "histories"
 
     def __init__(self, g: GameInstance, strategy=None):
-        if 1 + g.estimated_nodes() > STATE_GUARD:
-            raise ValueError("game instance too large for exact computation")
+        _check_states(1 + g.estimated_nodes())
         self.ec = ec = g.expert_class
         prefixes = type(g.availability) is PreviousOutcomes
         self.parents, self.offsets, self.cols = [], [], []
@@ -296,9 +306,7 @@ class _HistoryTable(_Table):
                 parent = np.arange(len(edges))
                 offsets = np.arange(len(edges) + 1)
             else:
-                options = [g.availability.available(h) for h in histories]
-                if any(len(xs) == 0 for xs in options):
-                    raise ValueError("availability must never be empty")
+                options = [_offer(g.availability, h) for h in histories]
                 sizes = list(map(len, options))
                 parent = np.repeat(np.arange(len(options)), sizes)
                 offsets = np.cumsum([0, *sizes])
@@ -379,11 +387,6 @@ def _level_histories(tree: BinaryTree):
         yield histories
 
 
-def _check_paths(n: int) -> None:
-    if (1 << n) > PATH_GUARD:
-        raise ValueError("too many paths for exact dual evaluation")
-
-
 def _node_columns(g: GameInstance, context_tree: BinaryTree) -> np.ndarray:
     """Class column of every node's context, in flat order: -1 where the
     class lacks the context and, under StaticContexts, -2 where the rule
@@ -437,7 +440,7 @@ def dual_value(g: GameInstance, s: DualStrategy) -> float:
             reached = np.isfinite(player)
             for q in np.flatnonzero(reached & (cols < 0) if static else reached):
                 if (cols[q] == -2 if static
-                        else xs[q] not in g.availability.available(hs[q])):
+                        else xs[q] not in _offer(g.availability, hs[q])):
                     raise ValueError("context tree inconsistent with availability rule")
                 if cols[q] < 0:
                     ec.context_index(xs[q])  # raises KeyError
@@ -472,10 +475,8 @@ def random_dual_strategy(g: GameInstance, rng) -> DualStrategy:
     # node; with the built-in rules availability depends on outcomes only,
     # so picking per-prefix (outcomes determine the prefix) is consistent.
     for t, histories in enumerate(_level_histories(ctx), 1):
-        options = [g.availability.available(h) for h in histories]
+        options = [_offer(g.availability, h) for h in histories]
         sizes = [len(xs) for xs in options]
-        if 0 in sizes:
-            raise ValueError("availability must never be empty")
         level = ctx.level(t)
         for q, (xs, i) in enumerate(zip(options, rng.integers(sizes))):
             level[q] = xs[i]
@@ -614,7 +615,7 @@ def run_strategy(g: GameInstance, strategy, adversary) -> RegretTrace:
     predictions, outcomes, contexts = [], [], []
     for _ in range(g.horizon):
         x = adversary.context(history)
-        if x not in g.availability.available(history):
+        if x not in _offer(g.availability, history):
             raise ValueError("adversary played an unavailable context")
         p_hat = strategy.predict(history, x)
         y = _outcome(adversary.outcome(history, p_hat))

@@ -391,9 +391,7 @@ def run_check(check_id: str, resolution: float = 1e-3, seed: int = 0, **kwargs):
 def sup_psi(lam: float, resolution: float = 1e-3):
     """Grid maximum of psi(p, lam, v) over p in [0,1], v in [p-1, p],
     followed by one golden-section refinement in v at the best p.
-    Returns (sup_value, (p, v))."""
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError(f"lambda must be finite and positive, got {lam!r}")
+    Returns (sup_value, (p, v)); psi checks lam."""
     _validate_resolution(resolution)
     m = int(math.floor(1.0 / resolution)) + 1
     p = np.linspace(0.0, 1.0, m)
@@ -435,7 +433,8 @@ def _case2_ratio(p, v):
 
 def lambda_threshold_scan(resolution: float = 1e-3) -> float:
     """Minimum over the (p, v) grid of both threshold-ratio expressions;
-    equals the critical exponential-moment parameter up to grid error.
+    equals 1/c up to grid error, a lambda sufficient for sup psi <= 1 but
+    not the largest: sup_psi reads exactly 1 up to lambda about 0.429.
 
     Points with |v| < resolution are excluded (0/0 as v -> 0), and NaN
     ratios are skipped.

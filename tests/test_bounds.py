@@ -178,6 +178,19 @@ def test_fit_validation():
                           [2**k for k in range(10, 16)] + [2**12])
 
 
+def test_horizons_past_a_double_square_are_refused():
+    # the single-scale bracket starts at 1/n^2, a double only below 2^512
+    H = EntropyCurve.power(1.0, 2.0)
+    assert math.isfinite(self_concordance_bound(H, 2**511)[0])
+    for n in (2**512, 0, math.nan, math.inf):
+        for bound in (self_concordance_bound, truncation_bound):
+            with pytest.raises(ValueError, match=f"got n = {n}"):
+                bound(H, n)
+    grid = [2**k for k in range(10, 15)] + [2**512]
+    with pytest.raises(ValueError, match=f"got n = {2**512}"):
+        fit_rate_exponent("self_concordance", 1.0, 2.0, grid)
+
+
 def test_fit_of_zero_curve_has_no_rate():
     # the sweep of a zero curve reads the optimisers' stopping points (slopes
     # 0.519 and 1.000 here), not the bounds, which are 0 at every n

@@ -56,6 +56,21 @@ def test_bounds_grid_errors_exit_2(capsys):
         assert main(["bounds", "--entropy", "pow:p=2", "--n-grid", grid]) == 0
 
 
+def test_bounds_horizon_past_a_double_square_exits_2(capsys, monkeypatch):
+    # 1/n^2 overflows a double from n = 2^512 on; every horizon is checked
+    # before any bound runs
+    from logloss_lab import bounds as bounds_mod
+    assert main(["bounds", "--entropy", "pow:p=2", "--n-grid", "2^511..2^511"]) == 0
+    capsys.readouterr()
+    ran = []
+    monkeypatch.setattr(bounds_mod, "self_concordance_bound",
+                        lambda H, n: ran.append(n))
+    for grid in ("2^512..2^512", f"16,{2**512}"):
+        assert main(["bounds", "--entropy", "pow:p=2", "--n-grid", grid]) == 2
+        assert f"got n = {2**512}" in capsys.readouterr().err
+    assert ran == []
+
+
 def test_parse_entropy():
     H = _parse_entropy("pow:p=2,C=3")
     assert H.value(0.5) == pytest.approx(12.0)
@@ -276,6 +291,12 @@ def test_bounds_fit_past_int64(tmp_path):
     assert 0.75 < fit["truncation_slope"] < 0.77
 
 
+def test_cover_class_depth_guard_exits_2(class_file, capsys):
+    # the duals' tree guard, before the 2^21 - 1 node tree is built
+    assert main(["cover", "--class", class_file, "--n", "21"]) == 2
+    assert "too many paths: a depth-21 tree" in capsys.readouterr().err
+
+
 def test_cover_class_gamma_errors_exit_2(class_file, capsys):
     for gamma in ("-1", "nan", "inf"):
         assert main(["cover", "--class", class_file, "--n", "2",
@@ -375,6 +396,19 @@ def test_assouad_horizon_one_exits_2(capsys):
         err = capsys.readouterr().err
         assert "horizon must be at least 2" in err
         assert "epsilon must lie" not in err
+
+
+def test_assouad_strategy_choices_exit_2(tmp_path, capsys):
+    argv = ["assouad", "--scaling", "--n-grid", "64,128", "--n-seeds", "1"]
+    assert main([*argv, "--strategy", "bogus"]) == 2
+    assert "argument --strategy: invalid choice: 'bogus'" in capsys.readouterr().err
+    # a config file's flags are spliced into the command line, so parsed too
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"subcommand": "assouad", "scaling": True,
+                               "n_grid": "64,128", "n_seeds": 1,
+                               "strategy": "bogus"}))
+    assert main(["--config", str(cfg)]) == 2
+    assert "argument --strategy: invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_config_error_exit_code(tmp_path):

@@ -486,6 +486,30 @@ def test_tabulated_curve_checks_its_table():
             EntropyCurve.tabulated(*table)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"kind": "power", "C": -1.0, "p": 2.0}, "finite C >= 0, p > 0"),
+    ({"kind": "power", "C": 1.0, "p": 0.0}, "finite C >= 0, p > 0"),
+    ({"kind": "log", "d": math.nan}, "finite d >= 0"),
+    ({"kind": "powr"}, "unknown entropy curve kind: 'powr'"),
+    ({"kind": "tabulated", "gammas": [], "lowers": [], "uppers": []},
+     "has no points"),
+    ({"kind": "tabulated"}, "three 1-D columns"),
+])
+def test_direct_construction_checks_the_curve(fields, message):
+    # the constructor owns every rule, so no path around the classmethods
+    # builds a curve that reads H(0.5) = -4, NaN, or fails inside np.interp
+    with pytest.raises(ValueError, match=message):
+        EntropyCurve(**fields)
+
+
+def test_direct_tabulated_construction_sorts_its_rows():
+    curve = EntropyCurve(kind="tabulated", gammas=[0.5, 0.25], lowers=[1, 2],
+                         uppers=[1.5, 2.5])
+    assert curve.gammas.tolist() == [0.25, 0.5]
+    assert curve.uppers.tolist() == [2.5, 1.5]
+    assert curve.value(0.3) == pytest.approx(2.3)
+
+
 def enumerate_lipschitz(gamma, max_functions=10**6):
     """Every function of the Lipschitz grid family at scale gamma, as rows
     of values: the enumeration that the walk counts replace."""

@@ -1094,16 +1094,31 @@ def test_dual_value_asks_available_once_per_reached_node():
         assert got == pytest.approx(reference_dual_value(g, s), rel=1e-12)
 
 
-def test_random_dual_strategy_rejects_empty_availability():
-    class Emptying(_Ragged):
-        def available(self, history):
-            return () if len(history) == 2 else super().available(history)
+class _Emptying(_Ragged):
+    """_Ragged, but offering nothing to every history of two rounds."""
 
-    g = GameInstance(4, ExpertClass([0, 1], np.full((1, 2), 0.5)), Emptying(2))
+    def available(self, history):
+        return () if len(history) == 2 else super().available(history)
+
+
+def test_random_dual_strategy_rejects_empty_availability():
+    g = GameInstance(4, ExpertClass([0, 1], np.full((1, 2), 0.5)), _Emptying(2))
     with pytest.raises(ValueError, match="availability must never be empty"):
         random_dual_strategy(g, np.random.default_rng(0))
     with pytest.raises(ValueError, match="availability must never be empty"):
         exact_minimax(g)
+
+
+def test_every_caller_reports_an_empty_offer_alike():
+    # context 0 is offered wherever anything is, so only the empty offer
+    # at round 3 can stop the dual and the protocol run
+    g = GameInstance(4, ExpertClass([0, 1], np.full((1, 2), 0.5)), _Emptying(2))
+    s = DualStrategy(context_tree=BinaryTree(4, values=np.zeros(15, dtype=object)),
+                     prob_tree=BinaryTree(4, fill=0.5))
+    with pytest.raises(ValueError, match="availability must never be empty"):
+        dual_value(g, s)
+    with pytest.raises(ValueError, match="availability must never be empty"):
+        run_strategy(g, ConstantStrategy(0.5), FixedSequence([0] * 4, [1] * 4))
 
 
 def test_dual_path_guard_before_drawing():

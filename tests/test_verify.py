@@ -76,6 +76,13 @@ def test_sup_psi_below_and_above_threshold():
     assert sup_psi(1.0, resolution=1e-2)[0] > 1.0
 
 
+def test_lambda_star_is_sufficient_not_largest():
+    # sup psi stays exactly 1 past 1/c = 0.310 and first exceeds it near
+    # 0.43, where 2^lam e^{-2 lam} > 1 - lam along v = p with p small
+    assert sup_psi(0.42, 1e-3)[0] == 1.0
+    assert sup_psi(0.44, 1e-3)[0] > 1.0
+
+
 def test_sup_psi_monotone_below_threshold():
     sups = [sup_psi(lam, resolution=1e-2)[0] for lam in (0.1, 0.2, 0.31)]
     assert sups[0] <= sups[1] + 1e-9
