@@ -139,11 +139,14 @@ def _visits(ac: AssouadClass, dataset):
     """Each visit of the dataset with its center's counts before it.
 
     Returns (rounds, centers, ys, ones, total), one entry per visit, sorted
-    by center and, within a center, by round (a stable argsort): the
-    visit's round index, center and outcome, and the center's ones and
-    visits in the rounds before it, as ints.  ValueError names the first
-    row whose center is not one of ac's or whose outcome is not 0 or 1,
-    checked before the cast, so 0.7 is no center and 0.9 no outcome.
+    by center and, within a center, by round (a stable argsort, a radix sort
+    on uint16 keys up to 2^16 centers): the visit's round index, center and
+    outcome, and the center's ones and visits in the rounds before it, as
+    ints.  A center's first visit is the count of visits to lower centers,
+    from bincount offsets, so the whole pass is linear in the visits up to
+    2^16 centers.  ValueError names the first row whose center is not one
+    of ac's or whose outcome is not 0 or 1, checked before the cast, so 0.7
+    is no center and 0.9 no outcome.
     """
     raw = np.asarray(dataset).reshape(-1, 2)
     with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage, caught below
@@ -157,9 +160,13 @@ def _visits(ac: AssouadClass, dataset):
         raise ValueError(f"dataset row {r} is {tuple(raw[r].tolist())}: a row needs "
                          f"a center in [0, {ac.n_centers}) and an outcome 0 or 1, "
                          "both whole numbers")
-    rounds = np.argsort(center, kind="stable")
+    # a stable sort of uint16 keys is numpy's radix sort, and a stable
+    # permutation is unique, so either key gives the same rounds
+    key = center.astype(np.uint16) if ac.n_centers <= 1 << 16 else center
+    rounds = np.argsort(key, kind="stable")
     centers, ys = center[rounds], y[rounds]
-    start = np.searchsorted(centers, centers)  # each center's first visit
+    counts = np.bincount(centers)
+    start = (np.cumsum(counts) - counts)[centers]  # each center's first visit
     seen = np.cumsum(ys) - ys
     return rounds, centers, ys, seen - seen[start], np.arange(centers.size) - start
 

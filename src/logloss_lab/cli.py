@@ -81,11 +81,18 @@ def _emit(report: dict, rows, header, args):
 
 
 def load_expert_class(path) -> ExpertClass:
+    """The class of a JSON object with the keys "contexts" and "experts" and
+    no other; ValueError for any other file content."""
     with open(path) as f:
         spec = json.load(f)
+    if not isinstance(spec, dict):
+        raise ValueError(f"class file must hold a JSON object, got {type(spec).__name__}")
     unknown = set(spec) - {"contexts", "experts"}
     if unknown:
         raise ValueError(f"unknown keys in class file: {sorted(unknown)}")
+    missing = {"contexts", "experts"} - set(spec)
+    if missing:
+        raise ValueError(f"class file lacks the keys {sorted(missing)}")
     return ExpertClass(contexts=spec["contexts"], experts=spec["experts"])
 
 
@@ -95,6 +102,11 @@ def _parse_n_grid(text: str):
         a, b = int(m.group(1)), int(m.group(2))
         if a > b:
             raise ValueError(f"n grid {text!r} is empty")
+        top = bounds_mod._MAX_HORIZON.bit_length() - 1  # largest power of two admitted
+        if b > top:  # refused before any horizon is built
+            first = max(a, top + 1)
+            shown = 2**first if first == top + 1 else f"2^{first}"
+            raise ValueError(f"horizons must be >= 1 with n^2 a double, got n = {shown}")
         return [2**k for k in range(a, b + 1)]
     try:
         return [int(tok) for tok in text.split(",")]

@@ -5,9 +5,10 @@ element's node values along the path stay within gamma of the expert's;
 only the 2^(depth-1) distinct node paths carry demands.  A group of
 demands fits one element exactly when it is pairwise within 2*gamma at
 every node its paths share, so a minimal cover is a minimal colouring of
-the demands' conflict graph: by branch and bound over Python-int conflict
-bitmasks (exact, and per path for the lower bound), or first fit against
-each group's node ranges, linear in the demands (greedy).
+the demands' conflict graph: by branch and bound over one table of
+per-node expert conflict bitmasks OR-ed down the tree (exact, and once per
+distinct path graph for the lower bound), or by first fit against each
+group's node ranges, linear in the demands (greedy).
 """
 
 from __future__ import annotations
@@ -95,43 +96,42 @@ def cover_verify(rc: RestrictedClass, V: SequentialCover) -> bool:
         return False
     idx = _distinct_paths(rc.depth)
     g = rc.values
-    v = np.stack([e.values.astype(float) for e in V.elements])
+    v = np.array([e.values for e in V.elements], dtype=float)
     step = max(1, core._BLOCK // (len(g) * len(v) * rc.depth))
     for start in range(0, len(idx), step):
         rows = idx[start:start + step]
         dist = np.abs(g[:, None, rows] - v[None, :, rows]).max(axis=3)
-        if np.any(dist.min(axis=1) > V.scale + _TOL):  # (experts, paths)
+        if (dist.min(axis=1) > V.scale + _TOL).any():  # (experts, paths)
             return False
     return True
 
 
-def _path_conflicts(gvals: np.ndarray, depth: int, gamma: float) -> np.ndarray:
-    """(paths, depth, experts, experts) bool over the distinct paths: entry
-    [y, t, g, h] is true when experts g and h differ by more than 2 gamma
-    at some node of path y in rounds 1..t+1."""
-    vals = gvals[:, _distinct_paths(depth)].transpose(1, 2, 0)
-    apart = np.abs(vals[..., :, None] - vals[..., None, :]) > 2 * gamma + _TOL
-    return np.logical_or.accumulate(apart, axis=1)
-
-
-def _bitmasks(rows: np.ndarray) -> list:
-    """One Python int per row of a 2-D bool array; bit j is column j."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    return [int.from_bytes(r.tobytes(), "little") for r in packed]
+def _node_masks(values: np.ndarray, gamma: float) -> np.ndarray:
+    """(n_nodes, n_experts) int64, |F| <= 63: bit h of [t, g] is set when
+    experts g and h differ by more than 2 gamma at node t or above it.  A
+    node's own bits come O(_BLOCK) elements at a time; then node q of round
+    r ORs its row into its children q and q + 2^(r-1)."""
+    cols, bits = values.T, 1 << np.arange(len(values))
+    step = max(1, core._BLOCK // bits.size**2)
+    masks = np.empty(cols.shape, dtype=np.int64)
+    for start in range(0, len(cols), step):
+        c = cols[start:start + step]
+        apart = np.abs(c[:, :, None] - c[:, None, :]) > 2 * gamma + _TOL
+        np.matmul(apart, bits, out=masks[start:start + step])
+    for t in range(2, len(cols).bit_length() + 1):  # 2^depth - 1 nodes
+        level = masks[BinaryTree.level_slice(t)].reshape(2, 1 << (t - 2), -1)
+        level |= masks[BinaryTree.level_slice(t - 1)]
+    return masks
 
 
 def _demand_conflicts(gvals: np.ndarray, depth: int, gamma: float) -> list:
-    """Conflict bitmasks, quadratic in the demands: demand y * n_experts + g
+    """Conflict bitmasks of at most 63 demands: demand y * n_experts + g
     conflicts with those it differs from by more than 2 gamma at a node
-    both paths reach.  Paths y1 != y2 share the rounds up to their lowest
-    differing bit b, so read y1's prefix conflicts at b; y1 == y2 reads -1."""
-    prefix = _path_conflicts(gvals, depth, gamma)
-    paths, _, n_experts, _ = prefix.shape
-    y = np.arange(paths)
-    parted = y[:, None] ^ y[None, :]
-    last = np.frexp(parted & -parted)[1] - 1  # log2 of the lowest bit
-    conf = prefix[y[:, None], last]  # [y1, y2, g1, g2]
-    return _bitmasks(conf.transpose(0, 2, 1, 3).reshape(-1, paths * n_experts))
+    both paths reach, so it reads the node masks at their last shared node."""
+    idx = _distinct_paths(depth)
+    shared = np.where(idx[:, None] == idx, idx[:, None], 0).max(axis=2)  # [y1, y2]
+    weights = 1 << len(gvals) * np.arange(len(idx))  # path y2's first bit
+    return (weights @ _node_masks(gvals, gamma)[shared]).ravel().tolist()
 
 
 def _clique_size(masks: list) -> int:
@@ -228,7 +228,7 @@ def sequential_cover_exact(rc: RestrictedClass, gamma: float):
     gvals = rc.values
     labels, size = _fewest_groups(_demand_conflicts(gvals, rc.depth, gamma))
     idx = _distinct_paths(rc.depth)
-    at = np.reshape(labels, (len(idx), -1, 1)), idx[:, None]  # [y, g, t]
+    at = np.array(labels).reshape(len(idx), -1, 1), idx[:, None]  # [y, g, t]
     vals = gvals[:, idx].transpose(1, 0, 2)  # as the demands
     lo = np.full((size, gvals.shape[1]), np.inf)
     hi = -lo
@@ -258,8 +258,8 @@ def empirical_entropy_lower(rc: RestrictedClass, gamma: float) -> float:
     _check_gamma(gamma)
     gvals = rc.values
     if rc.n_experts <= 12:
-        apart = _path_conflicts(gvals, rc.depth, gamma)[:, -1]
-        best = max(_fewest_groups(_bitmasks(a))[1] for a in apart)
+        leaves = _node_masks(gvals, gamma)[BinaryTree.level_slice(rc.depth)]
+        best = max(_fewest_groups(graph)[1] for graph in set(map(tuple, leaves.tolist())))
     else:
         paths = _distinct_paths(rc.depth)
         best = max(_greedy_packing_size(gvals[:, idx], gamma) for idx in paths)

@@ -14,6 +14,7 @@ from logloss_lab.assouad import (
     sample_dataset,
     scaling_experiment,
     _sign_class_regret,
+    _visits,
 )
 from logloss_lab.core import kl_bernoulli, log_loss
 from logloss_lab.game import ConstantStrategy
@@ -113,6 +114,30 @@ def test_datasets_need_known_centers_and_binary_outcomes():
     # whole floats are whole numbers
     assert (batch([(0.0, 1.0), (1.0, 0.0)]).table.tolist()
             == batch([(0, 1), (1, 0)]).table.tolist())
+
+
+def _ref_visits(ac, dataset):
+    """_visits by a comparison sort: a stable argsort of the int64 centers
+    and each center's first visit by binary search."""
+    center, y = np.asarray(dataset, dtype=np.int64).T
+    rounds = np.argsort(center, kind="stable")
+    centers, ys = center[rounds], y[rounds]
+    start = np.searchsorted(centers, centers)
+    seen = np.cumsum(ys) - ys
+    return rounds, centers, ys, seen - seen[start], np.arange(centers.size) - start
+
+
+@pytest.mark.parametrize("p, eps", [(1, 1 / 16), (1, 0.001), (2, 1 / 1024), (2, 0.0009)])
+def test_visits_match_comparison_sort(p, eps):
+    # 4, 250, exactly 2^16 and 76729 centers: both sides of the uint16 keys
+    ac = build_assouad_class(p, eps)
+    assert ac.n_centers == {1 / 16: 4, 0.001: 250, 1 / 1024: 1 << 16, 0.0009: 76729}[eps]
+    rng = np.random.default_rng(ac.n_centers)
+    data = sample_dataset(ac, rng.choice([-1, 1], size=ac.n_centers), 3000, 5)
+    data[:2, 0] = ac.n_centers - 1, 0  # the largest key and the smallest
+    for rows in (data, data[:1], data[:0]):
+        got, want = _visits(ac, rows), _ref_visits(ac, rows)
+        assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_bayes_posterior_moves_right_way():

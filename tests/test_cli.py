@@ -37,6 +37,16 @@ def test_parse_n_grid():
         _parse_n_grid("2^5..2^3")
 
 
+def test_parse_n_grid_refuses_a_power_past_the_horizon_guard():
+    # 2^511 is the largest power of two with a double square; the grid is
+    # refused before any of its horizons is built
+    assert _parse_n_grid("2^510..2^511")[-1] == 2**511
+    with pytest.raises(ValueError, match=f"got n = {2**512}$"):
+        _parse_n_grid("2^10..2^512")
+    with pytest.raises(ValueError, match=r"got n = 2\^513$"):
+        _parse_n_grid("2^513..2^520")
+
+
 def test_bounds_grid_errors_exit_2(capsys):
     # an empty grid is a usage error with or without --fit, and a fit needs
     # two distinct horizons
@@ -289,6 +299,21 @@ def test_bounds_fit_past_int64(tmp_path):
     fit = json.loads(out.read_text())["fit"]
     assert fit["self_concordance_slope"] == pytest.approx(2 / 3, abs=1e-9)
     assert 0.75 < fit["truncation_slope"] < 0.77
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"experts": [[0.5]]}, "lacks the keys ['contexts']"),
+    ({"contexts": [0]}, "lacks the keys ['experts']"),
+    ({}, "lacks the keys ['contexts', 'experts']"),
+    ([[0.5]], "must hold a JSON object, got list"),
+    (0.5, "must hold a JSON object, got float"),
+])
+def test_malformed_class_file_exits_2(tmp_path, capsys, spec, message):
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps(spec))
+    assert main(["minimax", "--class", str(path), "--n", "2"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "internal error" not in err
 
 
 def test_cover_class_depth_guard_exits_2(class_file, capsys):

@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -319,6 +320,83 @@ def test_depth_three_demands_are_distinct_paths():
     # 2^(3-1) distinct node paths, not the 2^3 rows of path_node_indices
     assert len(masks) == rc.n_demands == 4 * 5
     assert len(np.unique(path_node_indices(3), axis=0)) == 4
+
+
+# ---------------------------------------------------------------------------
+# The conflict tables before the node masks: a (paths, depth, experts,
+# experts) bool array over the distinct paths, one Python int per row.
+# ---------------------------------------------------------------------------
+
+
+def _ref_path_conflicts(gvals, depth, gamma):
+    """[y, t, g, h]: experts g and h differ by more than 2 gamma at some node
+    of distinct path y in rounds 1..t+1."""
+    vals = gvals[:, cover_mod._distinct_paths(depth)].transpose(1, 2, 0)
+    apart = np.abs(vals[..., :, None] - vals[..., None, :]) > 2 * gamma + 1e-12
+    return np.logical_or.accumulate(apart, axis=1)
+
+
+def _ref_bitmasks(rows):
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(r.tobytes(), "little") for r in packed]
+
+
+def _ref_demand_conflicts(gvals, depth, gamma):
+    prefix = _ref_path_conflicts(gvals, depth, gamma)
+    paths, _, n_experts, _ = prefix.shape
+    y = np.arange(paths)
+    parted = y[:, None] ^ y[None, :]
+    last = np.frexp(parted & -parted)[1] - 1  # -1, the full path, when y1 == y2
+    conf = prefix[y[:, None], last]  # [y1, y2, g1, g2]
+    return _ref_bitmasks(conf.transpose(0, 2, 1, 3).reshape(-1, paths * n_experts))
+
+
+def test_node_masks_match_path_conflict_tables():
+    # lattice classes put ties at exactly 2 gamma; 0/1 classes differ by 1
+    rng = np.random.default_rng(14)
+    for _ in range(300):
+        depth, n_experts = int(rng.integers(1, 6)), int(rng.integers(1, 13))
+        rc = _random_class(rng, depth, int(rng.integers(1, 4)), n_experts)
+        gamma = float(rng.choice([0, 0.05, 0.1, 0.25, 0.5]))
+        prefix = _ref_path_conflicts(rc.values, depth, gamma)
+        masks = cover_mod._node_masks(rc.values, gamma)
+        # each round of each distinct path, then the full-path graphs
+        assert masks[cover_mod._distinct_paths(depth)].tolist() == [
+            [_ref_bitmasks(rows) for rows in path] for path in prefix]
+        assert masks[BinaryTree.level_slice(depth)].tolist() == [
+            _ref_bitmasks(rows) for rows in prefix[:, -1]]
+        if depth <= 3 and n_experts <= 8:
+            assert (_demand_conflicts(rc.values, depth, gamma)
+                    == _ref_demand_conflicts(rc.values, depth, gamma))
+
+
+def test_deep_entropy_lower_stays_linear_in_the_nodes():
+    # depth 14, |F| = 12: the (paths, depth, |F|, |F|) conflict table took
+    # about 260 MB and 0.2-0.3 s; the node masks take O(nodes |F|)
+    rng = np.random.default_rng(3)
+    ec = ExpertClass(contexts=[0, 1], experts=rng.uniform(size=(12, 2)))
+    x = BinaryTree(14, values=rng.integers(0, 2, size=(1 << 14) - 1).astype(object))
+    rc = restrict(ec, x)
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        value = empirical_entropy_lower(rc, 0.1)
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 0.1
+    tracemalloc.start()
+    try:
+        empirical_entropy_lower(rc, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    # every distinct path coloured on its own, without the dedup
+    best = 0
+    for idx in cover_mod._distinct_paths(14):
+        vals = rc.values[:, idx]
+        apart = (np.abs(vals[:, None] - vals[None]) > 0.2 + 1e-12).any(axis=2)
+        best = max(best, cover_mod._fewest_groups(_ref_bitmasks(apart))[1])
+    assert value == math.log(best)
 
 
 @pytest.mark.parametrize("gamma", [-1.0, math.nan, math.inf, -math.inf])
