@@ -89,7 +89,10 @@ def _check_gamma(gamma) -> None:
 
 
 def cover_verify(rc: RestrictedClass, V: SequentialCover) -> bool:
-    """Exhaustive check of the cover condition, a block of paths at a time."""
+    """Exhaustive check of the cover condition, a block of paths at a time;
+    ValueError for a scale that is not finite and >= 0 or a NaN element
+    value, whose distance would never compare above the scale."""
+    _check_gamma(V.scale)
     if any(v.depth != rc.depth for v in V.elements):
         raise ValueError("cover elements must match the class depth")
     if not V.elements:
@@ -97,6 +100,8 @@ def cover_verify(rc: RestrictedClass, V: SequentialCover) -> bool:
     idx = _distinct_paths(rc.depth)
     g = rc.values
     v = np.array([e.values for e in V.elements], dtype=float)
+    if np.isnan(v).any():
+        raise ValueError("cover element values must not be NaN")
     step = max(1, core._BLOCK // (len(g) * len(v) * rc.depth))
     for start in range(0, len(idx), step):
         rows = idx[start:start + step]

@@ -6,22 +6,22 @@ history, interior nodes take a log-sum-exp over the two outcomes and a
 max over the contexts the adversary may present.  For a single available
 context per round this is the Shtarkov sum.
 
-Each `GameInstance` solves this once, level by level, into one table that
+The adversary's contexts follow one of two rules, each a per-node offer on
+the outcome tree: `StaticContexts` offers one fixed tuple at every node,
+`PreviousOutcomes` offers node (t, q) its own outcome prefix.  Each
+`GameInstance` solves the game once, level by level, into one table that
 `exact_minimax`, `optimal_prediction`, `MinimaxOptimal` and the Bayes
 mixture's `worst_case_search` read: over count states under `StaticContexts`
 (how often each (context, outcome) pair occurred: C(t + 2k - 1, 2k - 1) at
-depth t, not (2k)^t histories), over histories under any other rule.  A
-rule that is exactly PreviousOutcomes offers each history its outcome
-prefix, so that table's levels are built from the prefixes alone; any
-other rule is walked history by history.  STATE_GUARD bounds both;
-`worst_case_search` states the tie rule.  The count states' layout depends
-only on (k, n) and is read-only.  Games of a small shape share theirs from
-a bounded cache, which never holds more than STATE_GUARD states; a larger
-layout belongs to its game.
+depth t, not (2k)^t histories), over the outcome prefixes under
+`PreviousOutcomes`.  STATE_GUARD bounds both; `worst_case_search` states
+the tie rule.  The count states' layout depends only on (k, n) and is
+read-only.  Games of a small shape share theirs from a bounded cache, which
+never holds more than STATE_GUARD states; a larger layout belongs to its
+game.
 
 `dual_value` checks and scores a committed (context tree, probability
-tree) pair in one pass over the tree levels; under a rule other than
-StaticContexts it and `random_dual_strategy` share one history walk.
+tree) pair in one pass over the tree levels, reading one code per node.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .core import (BinaryTree, ExpertClass, _check_paths, _index_of, _lookup,
                    _outcome, log_loss)
 
 __all__ = [
-    "AvailabilityRule",
     "StaticContexts",
     "PreviousOutcomes",
     "GameInstance",
@@ -61,31 +60,13 @@ STATE_GUARD = 5 * 10**6
 TIE_TOLERANCE = 1e-12
 
 
-class AvailabilityRule:
-    """Maps a history (tuple of (context, outcome) pairs) to the contexts
-    the adversary may present next round."""
-
-    def available(self, history):
-        raise NotImplementedError
-
-    def max_contexts(self) -> int:
-        raise NotImplementedError
-
-
-def _offer(rule: AvailabilityRule, history):
-    """rule.available(history); ValueError if it offers nothing."""
-    xs = rule.available(history)
-    if len(xs) == 0:
-        raise ValueError("availability must never be empty")
-    return xs
-
-
-class StaticContexts(AvailabilityRule):
+class StaticContexts:
     """The same context set every round, regardless of history."""
 
     def __init__(self, contexts):
         self.contexts = tuple(contexts)
-        _offer(self, ())  # its one offer, the same for every history
+        if not self.contexts:
+            raise ValueError("availability must never be empty")
         _index_of(self.contexts)
 
     def available(self, history):
@@ -95,7 +76,7 @@ class StaticContexts(AvailabilityRule):
         return len(self.contexts)
 
 
-class PreviousOutcomes(AvailabilityRule):
+class PreviousOutcomes:
     """The single context identifying the outcomes observed so far.
 
     Context ids are tuples of past outcomes; the expert class must define
@@ -111,9 +92,12 @@ class PreviousOutcomes(AvailabilityRule):
 
 @dataclass(frozen=True)
 class GameInstance:
+    """A game of `horizon` rounds; `availability` is StaticContexts (the
+    class's contexts by default) or PreviousOutcomes, by exact type."""
+
     horizon: int
     expert_class: ExpertClass
-    availability: AvailabilityRule | None = None
+    availability: StaticContexts | PreviousOutcomes | None = None
 
     def __post_init__(self):
         if self.horizon < 1:
@@ -121,6 +105,9 @@ class GameInstance:
         if self.availability is None:
             rule = StaticContexts(self.expert_class.contexts)
             object.__setattr__(self, "availability", rule)
+        elif type(self.availability) not in (StaticContexts, PreviousOutcomes):
+            raise TypeError("availability must be StaticContexts or PreviousOutcomes, "
+                            f"got {type(self.availability).__name__}")
 
     def estimated_nodes(self) -> float:
         k = self.availability.max_contexts()
@@ -129,16 +116,9 @@ class GameInstance:
     @functools.cached_property
     def _table(self):
         """The game's table, built on first use."""
-        if _static(self):
+        if isinstance(self.availability, StaticContexts):
             return _CountTable(self)
         return _HistoryTable(self)
-
-
-def _static(g: GameInstance) -> bool:
-    """Whether availability is exactly StaticContexts: a subclass may vary
-    with the history, so the count table and the duals' column check need
-    the exact type."""
-    return type(g.availability) is StaticContexts
 
 
 @dataclass
@@ -280,59 +260,47 @@ class _CountTable(_Table):
 
 
 class _HistoryTable(_Table):
-    """W over the histories of any other rule, by depth.  Edge e of a depth
-    (history, context, in the rule's order) leads to histories 2e + y of the
-    next, so each depth is in lexicographic order.  The table keeps each
-    edge's node and context column, and each history's first edge
-    (`offsets`, one more entry than histories).  A rule that is exactly
-    PreviousOutcomes offers each history one context, its outcome prefix,
-    so a depth's edges are that depth's prefixes in lexicographic order and
-    no history is built; any other rule is walked history by history, one
-    `available` per history, keeping one depth's histories at a time.
-    Given a strategy, the table sums its loss to every leaf
-    (`player_loss`), one `predict` per edge."""
+    """W over the histories, by depth.  Every history has the same m =
+    max_contexts() edges (history, context): the rule's contexts under
+    StaticContexts, the history's outcome prefix under PreviousOutcomes.
+    Edge e of a depth leads from history e // m to histories 2e + y of the
+    next, so each depth is in lexicographic order and the table keeps only
+    each edge's context column.  Given a strategy (`worst_case_search`), the
+    table also builds the histories and sums the strategy's loss to every
+    leaf (`player_loss`), one `predict` per edge."""
 
     solver = "histories"
 
     def __init__(self, g: GameInstance, strategy=None):
         _check_states(1 + g.estimated_nodes())
         self.ec = ec = g.expert_class
-        prefixes = type(g.availability) is PreviousOutcomes
-        self.parents, self.offsets, self.cols = [], [], []
+        self.m = m = g.availability.max_contexts()
+        static, self.cols = isinstance(g.availability, StaticContexts), []
         player, histories = np.zeros(1), [()]
         for t in range(g.horizon):
-            if prefixes:
-                edges = list(itertools.product((0, 1), repeat=t))
-                parent = np.arange(len(edges))
-                offsets = np.arange(len(edges) + 1)
-            else:
-                options = [_offer(g.availability, h) for h in histories]
-                sizes = list(map(len, options))
-                parent = np.repeat(np.arange(len(options)), sizes)
-                offsets = np.cumsum([0, *sizes])
-                edges = [x for xs in options for x in xs]
-            self.parents.append(parent)
-            self.offsets.append(offsets)
+            edges = (g.availability.contexts * (2 * m) ** t if static
+                     else list(itertools.product((0, 1), repeat=t)))
             self.cols.append(ec.columns(edges))
             if strategy is not None:
-                p = np.array([strategy.predict(histories[q], x)
-                              for q, x in zip(parent.tolist(), edges)])
-                player = (player[parent, None] + log_loss(p[:, None], (0, 1))).ravel()
-            if t + 1 < g.horizon and (strategy is not None or not prefixes):
-                histories = [histories[q] + ((x, y),)
-                             for q, x in zip(parent.tolist(), edges) for y in (0, 1)]
+                p = np.array([strategy.predict(histories[e // m], x)
+                              for e, x in enumerate(edges)])
+                player = (np.repeat(player, m)[:, None]
+                          + log_loss(p[:, None], (0, 1))).ravel()
+                if t + 1 < g.horizon:
+                    histories = [histories[e // m] + ((x, y),)
+                                 for e, x in enumerate(edges) for y in (0, 1)]
         self.player_loss = player
         w = np.max(self.leaf_log_lik(ec), axis=1)
         self.values = [w]
-        for offsets in reversed(self.offsets):
-            w = np.maximum.reduceat(np.logaddexp(w[0::2], w[1::2]), offsets[:-1])
+        for _ in self.cols:
+            w = np.logaddexp(w[0::2], w[1::2]).reshape(-1, m).max(axis=1)
             self.values.append(w)
         self.values.reverse()
         self.states = sum(w.size for w in self.values)
 
     def _children(self, t, s, x):
-        col, cols, offsets = self.ec.context_index(x), self.cols[t], self.offsets[t]
-        for e in range(offsets[s], offsets[s + 1]):
+        col, cols, m = self.ec.context_index(x), self.cols[t], self.m
+        for e in range(s * m, s * m + m):
             if cols[e] == col:
                 return 2 * e, 2 * e + 1
         raise KeyError(x)
@@ -343,19 +311,20 @@ class _HistoryTable(_Table):
         if ec is not self.ec:
             lik = lik[:, :, ec.columns(self.ec.contexts)]
         total = np.zeros((1, ec.n_experts))
-        for parent, cols in zip(self.parents, self.cols):
+        for cols in self.cols:
             # child 2e + y of edge e adds lik[y, :, col] to its node's row
-            total = total[parent][:, None, :] + lik[:, :, cols].transpose(2, 0, 1)
+            total = (np.repeat(total, self.m, axis=0)[:, None, :]
+                     + lik[:, :, cols].transpose(2, 0, 1))
             total = total.reshape(-1, ec.n_experts)
         return total
 
     def first_tie(self, ties):
         """The lexicographically first tied history: the first tied leaf."""
         i, seq = int(np.argmax(ties)), []
-        for parent, cols in zip(reversed(self.parents), reversed(self.cols)):
+        for cols in reversed(self.cols):
             e, y = divmod(i, 2)
             seq.append((self.ec.contexts[cols[e]], y))
-            i = int(parent[e])
+            i = e // self.m
         return tuple(map(list, zip(*seq[::-1])))
 
 
@@ -374,27 +343,28 @@ def optimal_prediction(g: GameInstance, history, x) -> float:
     return float(np.exp(w1 - np.logaddexp(w0, w1)))
 
 
-def _level_histories(tree: BinaryTree):
-    """The histories reaching each level's nodes, in flat order, level 1
-    first: every node's outcome-0 child, then its outcome-1 child (see
-    BinaryTree.level).  Round t's contexts are read only when round t + 1
-    is requested, so a caller may fill a level in before moving on."""
-    histories = [()]
-    yield histories
-    for t in range(1, tree.depth):
-        xs = tree.level(t)
-        histories = [h + ((x, y),) for y in (0, 1) for h, x in zip(histories, xs)]
-        yield histories
+def _prefix_tree(n: int) -> BinaryTree:
+    """PreviousOutcomes' forced context tree of depth n: node (t, q) holds
+    its outcome prefix, tuple((q >> i) & 1 for i in range(t - 1))."""
+    nodes, level = [], [()]
+    for _ in range(n):
+        nodes += level
+        level = [h + (y,) for y in (0, 1) for h in level]
+    return BinaryTree(n, values=np.fromiter(nodes, dtype=object, count=len(nodes)))
 
 
 def _node_columns(g: GameInstance, context_tree: BinaryTree) -> np.ndarray:
-    """Class column of every node's context, in flat order: -1 where the
-    class lacks the context and, under StaticContexts, -2 where the rule
-    does not offer it."""
-    index, missing = g.expert_class._index, -1
-    if _static(g):
-        index, missing = {x: index.get(x, -1) for x in g.availability.contexts}, -2
-    return _lookup(index, context_tree.values.tolist(), missing)
+    """Class column of every node's context, in flat order: -2 where the
+    rule does not offer it (under PreviousOutcomes, where it is not == the
+    node's prefix), -1 where the class lacks it."""
+    index, values = g.expert_class._index, context_tree.values.tolist()
+    if isinstance(g.availability, StaticContexts):
+        return _lookup({x: index.get(x, -1) for x in g.availability.contexts},
+                       values, -2)
+    prefixes = _prefix_tree(context_tree.depth).values.tolist()
+    columns = _lookup(index, prefixes, -1)
+    columns[[x != q for x, q in zip(values, prefixes)]] = -2
+    return columns
 
 
 def dual_value(g: GameInstance, s: DualStrategy) -> float:
@@ -404,15 +374,14 @@ def dual_value(g: GameInstance, s: DualStrategy) -> float:
     a branch of probability exactly 0 costs +inf, and is skipped.
 
     One pass over the tree levels.  Round t first checks the nodes that
-    reached prefixes lead to (ValueError where the rule does not offer the
-    context, KeyError where the class lacks it): under StaticContexts only
-    nodes with a negative column, under any other rule `available` on each
-    such node's history.  It then extends every prefix's path probability
-    and the player's and each expert's loss: row y of the level's
-    (2, nodes) step extends it by outcome y, so the next level holds the
-    outcome-0 children, then the outcome-1 children (see
-    BinaryTree.level).  Branch probabilities, the player's losses and
-    every node's expert log-likelihoods are taken once for the whole tree.
+    reached prefixes lead to by their `_node_columns` code (ValueError for
+    -2, KeyError for -1, no per-node Python when every code is a column),
+    then extends every prefix's path probability and the player's and each
+    expert's loss: row y of the level's (2, nodes) step extends it by
+    outcome y, so the next level holds the outcome-0 children, then the
+    outcome-1 children (see BinaryTree.level).  Branch probabilities, the
+    player's losses and every node's expert log-likelihoods are taken once
+    for the whole tree.
     """
     n = g.horizon
     if s.context_tree.depth != n:
@@ -423,9 +392,7 @@ def dual_value(g: GameInstance, s: DualStrategy) -> float:
         raise ValueError("branch probabilities must lie in [0, 1]")
     branch = np.stack((1.0 - p, p))
     columns = _node_columns(g, s.context_tree)
-    static = _static(g)
-    check = not static or columns.min() < 0
-    histories = None if static else _level_histories(s.context_tree)
+    check = columns.min() < 0
     losses = log_loss(p, np.array([[0], [1]]))
     ec = g.expert_class
     # (outcome, node, expert); an unreached node reads column 0
@@ -435,15 +402,11 @@ def dual_value(g: GameInstance, s: DualStrategy) -> float:
     for t in range(1, n + 1):
         level = BinaryTree.level_slice(t)
         if check:
-            xs, cols = s.context_tree.level(t), columns[level]
-            hs = None if static else next(histories)
-            reached = np.isfinite(player)
-            for q in np.flatnonzero(reached & (cols < 0) if static else reached):
-                if (cols[q] == -2 if static
-                        else xs[q] not in _offer(g.availability, hs[q])):
+            cols = columns[level]
+            for q in np.flatnonzero(np.isfinite(player) & (cols < 0)):
+                if cols[q] == -2:
                     raise ValueError("context tree inconsistent with availability rule")
-                if cols[q] < 0:
-                    ec.context_index(xs[q])  # raises KeyError
+                ec.context_index(s.context_tree.level(t)[q])  # raises KeyError
         prob = (prob * branch[:, level]).ravel()
         player = (player + losses[:, level]).ravel()
         experts = (experts - lik[:, level]).reshape(-1, ec.n_experts)
@@ -456,30 +419,19 @@ def dual_value(g: GameInstance, s: DualStrategy) -> float:
 
 
 def random_dual_strategy(g: GameInstance, rng) -> DualStrategy:
-    """Uniformly random prob tree plus a random consistent context tree."""
+    """Uniformly random prob tree plus a random consistent context tree:
+    under StaticContexts one draw per node, made in one call for the whole
+    tree; under PreviousOutcomes the forced prefix tree, which draws
+    nothing."""
     n = g.horizon
     _check_paths(n)
     prob = BinaryTree(n, values=rng.uniform(size=(1 << n) - 1))
-    ctx = BinaryTree(n, values=np.empty((1 << n) - 1, dtype=object))
-    # Under StaticContexts every node has the same options, so one draw for
-    # the whole tree gives the per-node stream and no history is built;
-    # under any other rule, one draw per level (a node with one option draws
-    # nothing).
-    if _static(g):
-        contexts = g.availability.contexts
-        # an object array of the ids, in which a tuple id stays one element
-        options = np.fromiter(contexts, dtype=object, count=len(contexts))
-        ctx.values[:] = options[rng.integers(len(contexts), size=(1 << n) - 1)]
-        return DualStrategy(context_tree=ctx, prob_tree=prob)
-    # Context at (t, prefix) must be valid for every history reaching the
-    # node; with the built-in rules availability depends on outcomes only,
-    # so picking per-prefix (outcomes determine the prefix) is consistent.
-    for t, histories in enumerate(_level_histories(ctx), 1):
-        options = [_offer(g.availability, h) for h in histories]
-        sizes = [len(xs) for xs in options]
-        level = ctx.level(t)
-        for q, (xs, i) in enumerate(zip(options, rng.integers(sizes))):
-            level[q] = xs[i]
+    if isinstance(g.availability, PreviousOutcomes):
+        return DualStrategy(context_tree=_prefix_tree(n), prob_tree=prob)
+    contexts = g.availability.contexts
+    # an object array of the ids, in which a tuple id stays one element
+    options = np.fromiter(contexts, dtype=object, count=len(contexts))
+    ctx = BinaryTree(n, values=options[rng.integers(len(contexts), size=(1 << n) - 1)])
     return DualStrategy(context_tree=ctx, prob_tree=prob)
 
 
@@ -615,7 +567,7 @@ def run_strategy(g: GameInstance, strategy, adversary) -> RegretTrace:
     predictions, outcomes, contexts = [], [], []
     for _ in range(g.horizon):
         x = adversary.context(history)
-        if x not in _offer(g.availability, history):
+        if x not in g.availability.available(history):
             raise ValueError("adversary played an unavailable context")
         p_hat = strategy.predict(history, x)
         y = _outcome(adversary.outcome(history, p_hat))

@@ -67,6 +67,18 @@ def test_cover_verify_rejects_bad_cover():
     assert cover_verify(rc, V2)
 
 
+def test_cover_verify_rejects_nan():
+    # a NaN distance never compares above the scale, so it must not pass
+    rc = constant_context_class([0.1, 0.9], 2)
+    nan_element = SequentialCover([BinaryTree(2, fill=math.nan)], 0.1)
+    with pytest.raises(ValueError, match="must not be NaN"):
+        cover_verify(rc, nan_element)
+    for scale in (math.nan, math.inf, -0.1):
+        with pytest.raises(ValueError, match="gamma must be finite and >= 0"):
+            cover_verify(rc, SequentialCover([BinaryTree(2, fill=0.5)], scale))
+    assert cover_verify(rc, SequentialCover([BinaryTree(2, fill=0.5)], 0.4))
+
+
 def test_zero_one_class_cover_sizes():
     rc = constant_context_class([0.0, 1.0], 3)
     size_half, cov = sequential_cover_exact(rc, 0.5)

@@ -12,7 +12,6 @@ from logloss_lab.core import (
     path_node_indices,
 )
 from logloss_lab.game import (
-    AvailabilityRule,
     BayesMixture,
     ConstantStrategy,
     DualStrategy,
@@ -76,41 +75,6 @@ def reference_dual_value(g, s):
         else:
             total += prob * (player - float(np.min(experts)))
     return total
-
-
-class _SameEveryRound(AvailabilityRule):
-    """StaticContexts as a custom rule, which takes the history table: the
-    reference for the count-state solver."""
-
-    def __init__(self, contexts):
-        self.contexts = tuple(contexts)
-
-    def available(self, history):
-        return self.contexts
-
-    def max_contexts(self):
-        return len(self.contexts)
-
-
-class _Ragged(AvailabilityRule):
-    """1..k contexts, how many and in which order set by the history: the
-    history table's levels are ragged and its context order matters."""
-
-    def __init__(self, k):
-        self.k = k
-
-    def available(self, history):
-        ones = sum(y for _, y in history)
-        xs = tuple(range((len(history) + ones) % self.k + 1))
-        return xs[::-1] if ones % 2 else xs
-
-    def max_contexts(self):
-        return self.k
-
-
-class _Prefixes(PreviousOutcomes):
-    """PreviousOutcomes as a subclass, which takes the generic history walk:
-    the reference for the exact rule's levels built from outcome prefixes."""
 
 
 def reference_value(g, history, loglik):
@@ -232,13 +196,13 @@ def _or_error(solve, *args):
         return str(e)
 
 
-def _protocol(g, tree_values, prob_values, seed):
+def _protocol(g, tree_values, prob_values, seed, player=None):
     adversary = StochasticAdversary(
         BinaryTree(g.horizon, values=tree_values),
         BinaryTree(g.horizon, values=prob_values),
         seed=seed,
     )
-    return _or_error(run_strategy, g, MinimaxOptimal(g), adversary)
+    return _or_error(run_strategy, g, player or MinimaxOptimal(g), adversary)
 
 
 def test_count_states_match_history_recursion():
@@ -250,16 +214,14 @@ def test_count_states_match_history_recursion():
         table = _with_exact_zeros_and_ones(rng, (int(rng.integers(1, 5)), k))
         ec = ExpertClass(contexts=list(range(k)), experts=table)
         g = GameInstance(horizon=n, expert_class=ec)
-        rule = _SameEveryRound(ec.contexts)
-        ref = GameInstance(horizon=n, expert_class=ec, availability=rule)
-        _same_or_close(exact_minimax(g), exact_minimax(ref))
+        _same_or_close(exact_minimax(g), reference_value(g, (), np.zeros(len(table))))
         pairs = [(x, y) for x in ec.contexts for y in (0, 1)]
-        player = MinimaxOptimal(g)
+        player, reference = MinimaxOptimal(g), _ReferencePlayer(g)
         for t in range(n):
             for history in itertools.product(pairs, repeat=t):
                 for x in ec.contexts:
                     got = _or_error(optimal_prediction, g, history, x)
-                    want = _or_error(optimal_prediction, ref, history, x)
+                    want = _or_error(reference.predict, history, x)
                     if isinstance(want, str):
                         assert got == want
                     else:
@@ -269,7 +231,7 @@ def test_count_states_match_history_recursion():
         probs = _with_exact_zeros_and_ones(rng, (1 << n) - 1)
         seed = int(rng.integers(2**31))
         got = _protocol(g, tree, probs, seed)
-        want = _protocol(ref, tree, probs, seed)
+        want = _protocol(g, tree, probs, seed, reference)
         if isinstance(want, str):
             assert got == want
             continue
@@ -286,23 +248,30 @@ def _prefix_contexts(n):
     return [c for m in range(n) for c in itertools.product((0, 1), repeat=m)]
 
 
+def _on_history_table(g):
+    """g with the history table as its table: a StaticContexts game builds
+    that table only for worst_case_search's strategy walk."""
+    g.__dict__["_table"] = game_mod._HistoryTable(g)
+    return g
+
+
 def _history_game(rng):
-    """A random PreviousOutcomes game, exact or by subclass (n <= 7), or
-    ragged game (at most 512 leaves), expert tables with exact 0/1
-    entries."""
+    """A random game solved over its histories, expert tables with exact
+    0/1 entries: PreviousOutcomes (n <= 7), or StaticContexts offering 1..k
+    of k contexts in a random order (at most 512 leaves)."""
     n_experts = int(rng.integers(1, 5))
     if rng.uniform() < 0.5:
         n = int(rng.integers(1, 8))
-        contexts = _prefix_contexts(n)
-        rule = (PreviousOutcomes, _Prefixes)[int(rng.integers(2))]()
+        contexts, rule = _prefix_contexts(n), PreviousOutcomes()
     else:
         k = int(rng.integers(1, 4))
-        n = min(int(rng.integers(1, 8)), int(math.log(512, 2 * k) + 1e-9))
-        contexts = list(range(k))
-        rule = _Ragged(k)
+        offered = rng.permutation(k)[: rng.integers(1, k + 1)].tolist()
+        n = min(int(rng.integers(1, 8)), int(math.log(512, 2 * len(offered)) + 1e-9))
+        contexts, rule = list(range(k)), StaticContexts(offered)
     table = _with_exact_zeros_and_ones(rng, (n_experts, len(contexts)))
     ec = ExpertClass(contexts=contexts, experts=table)
-    return GameInstance(horizon=n, expert_class=ec, availability=rule)
+    g = GameInstance(horizon=n, expert_class=ec, availability=rule)
+    return g if isinstance(rule, PreviousOutcomes) else _on_history_table(g)
 
 
 def _same_trace(got, want):
@@ -353,85 +322,104 @@ def test_history_table_matches_recursion():
         _check_worst_cases(g)
 
 
-def _prefix_pair(n, experts):
-    """One game under exact PreviousOutcomes, its twin under the subclass."""
-    ec = ExpertClass(_prefix_contexts(n), experts)
-    return [GameInstance(n, ec, rule) for rule in (PreviousOutcomes(), _Prefixes())]
-
-
 def test_prefix_levels_match_history_walk():
+    # each depth of the history table is in lexicographic order, as
+    # full_histories walks it: leaf i is history i, and the first tied
+    # leaf is the first tied history
     rng = np.random.default_rng(1818)
     for n in range(1, 8):
-        for _ in range(6):
+        for k in (None, 1, 2, 3):
+            if k is None:
+                contexts, rule = _prefix_contexts(n), PreviousOutcomes()
+            elif (2 * k) ** n <= 512:
+                contexts, rule = list(range(k)), StaticContexts(rng.permutation(k).tolist())
+            else:
+                continue
             experts = _with_exact_zeros_and_ones(rng, (int(rng.integers(1, 5)),
-                                                       (1 << n) - 1))
-            exact, sub = _prefix_pair(n, experts)
-            got, want = exact._table, sub._table
-            for name in ("values", "parents", "offsets", "cols"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert len(a) == len(b)
-                for u, v in zip(a, b):
-                    assert u.dtype == v.dtype
-                    assert u.tobytes() == v.tobytes()
-            assert got.states == want.states
-            for ties in (rng.uniform(size=1 << n) < 0.3, np.ones(1 << n, bool)):
-                ties[rng.integers(1 << n)] = True
-                assert got.first_tie(ties) == want.first_tie(ties)
-            level = [()]
-            for _ in range(n):
-                prefixes = [tuple(b for _, b in h) for h in level]
-                for h, x in zip(level, prefixes):
-                    assert (_or_error(optimal_prediction, exact, h, x)
-                            == _or_error(optimal_prediction, sub, h, x))
-                level = [h + ((x, y),) for h, x in zip(level, prefixes)
-                         for y in (0, 1)]
-            for strat in (MinimaxOptimal, lambda g: ConstantStrategy(0.3)):
-                assert (_or_error(worst_case_search, exact, strat(exact))
-                        == _or_error(worst_case_search, sub, strat(sub)))
+                                                       len(contexts)))
+            ec = ExpertClass(contexts, experts)
+            g = GameInstance(n, ec, rule)
+            table = game_mod._HistoryTable(g)
+            histories = full_histories(g)
+            assert table.values[-1].tolist() == [
+                float(np.max(ec.history_log_lik(h))) for h in histories
+            ]
+            for ties in (rng.uniform(size=len(histories)) < 0.3,
+                         np.ones(len(histories), bool)):
+                ties[rng.integers(len(histories))] = True
+                assert table.first_tie(ties) == _split(histories[int(np.argmax(ties))])
 
 
 def test_prefix_levels_never_call_available(monkeypatch):
     rng = np.random.default_rng(18)
-    experts = rng.uniform(0.05, 0.95, size=(3, 2**9 - 1))
-    exact, sub = _prefix_pair(9, experts)
-    want = exact_minimax(sub)
-    mixture = worst_case_search(sub, BayesMixture(sub.expert_class))
+    ec = ExpertClass(_prefix_contexts(9), rng.uniform(0.05, 0.95, size=(3, 2**9 - 1)))
+
+    def solve():
+        g = GameInstance(9, ec, PreviousOutcomes())
+        s = random_dual_strategy(g, np.random.default_rng(1))
+        bad = s.context_tree.values.copy()
+        bad[300] = bad[301]
+        with pytest.raises(ValueError, match="inconsistent"):
+            dual_value(g, DualStrategy(BinaryTree(9, values=bad), s.prob_tree))
+        return (exact_minimax(g), worst_case_search(g, BayesMixture(ec)),
+                dual_value(g, s), list(s.context_tree.values))
+
+    want = solve()
 
     def available(self, history):
         raise AssertionError("available called")
 
     monkeypatch.setattr(PreviousOutcomes, "available", available)
-    assert exact_minimax(exact) == want
-    assert worst_case_search(exact, BayesMixture(exact.expert_class)) == mixture
-    with pytest.raises(AssertionError):
-        exact_minimax(_prefix_pair(9, experts)[1])
+    assert solve() == want
+    # a protocol run asks the rule each round
+    g = GameInstance(9, ec, PreviousOutcomes())
+    with pytest.raises(AssertionError, match="available called"):
+        run_strategy(g, ConstantStrategy(0.5), FixedSequence([()] * 9, [1] * 9))
 
 
 def test_missing_prefix_same_error_on_both_builds():
+    # the table's build and the strategy walk's, and (past n = 1, where the
+    # class has no context at all) the dual's node check
     for n, missing in ((1, ()), (3, (1,)), (4, (0, 1, 1))):
         contexts = [c for c in _prefix_contexts(n) if c != missing]
-        ec = ExpertClass(contexts, np.full((2, len(contexts)), 0.5))
-        messages = []
-        for rule in (PreviousOutcomes(), _Prefixes()):
+        g = GameInstance(n, ExpertClass(contexts, np.full((2, len(contexts)), 0.5)),
+                         PreviousOutcomes())
+        solves = [exact_minimax, lambda g: worst_case_search(g, ConstantStrategy(0.5))]
+        if n > 1:
+            solves.append(lambda g: dual_value(g, random_dual_strategy(g, rng)))
+        rng = np.random.default_rng(n)
+        for solve in solves:
             with pytest.raises(KeyError) as err:
-                exact_minimax(GameInstance(n, ec, rule))
-            messages.append(str(err.value))
-        assert messages == [repr(f"unknown context id: {missing!r}")] * 2
+                solve(g)
+            assert str(err.value) == repr(f"unknown context id: {missing!r}")
+
+
+def test_game_instance_refuses_other_rules():
+    ec = ExpertClass(contexts=[0, 1], experts=[[0.3, 0.6]])
+
+    class Offers:
+        def available(self, history):
+            return (0,)
+
+        def max_contexts(self):
+            return 1
+
+    class Prefixes(PreviousOutcomes):
+        pass
+
+    class Some(StaticContexts):
+        pass
+
+    for rule in (Offers(), Prefixes(), Some([0]), [0, 1]):
+        with pytest.raises(TypeError, match="availability must be StaticContexts "
+                                            "or PreviousOutcomes, got"):
+            GameInstance(2, ec, rule)
 
 
 def test_unhashable_context_id_is_unknown():
     ec = ExpertClass(contexts=[0, 1], experts=[[0.3, 0.6], [0.7, 0.2]])
-
-    class Offers(AvailabilityRule):
-        def available(self, history):
-            return (0, [1]) if history else (0,)
-
-        def max_contexts(self):
-            return 2
-
     for call in (lambda: BayesMixture(ec).predict(((0, 1),), [1]),
-                 lambda: BayesMixture(ec).predict((([1], 1),), 0),
-                 lambda: exact_minimax(GameInstance(2, ec, Offers()))):
+                 lambda: BayesMixture(ec).predict((([1], 1),), 0)):
         with pytest.raises(KeyError) as err:
             call()
         assert str(err.value) == repr("unknown context id: [1]")
@@ -487,24 +475,15 @@ def _check_worst_cases(g):
         assert got[1] == pytest.approx(want[1], abs=1e-12)
 
 
-class _CountingSame(_SameEveryRound):
-    """_SameEveryRound that counts the histories it is asked about."""
-
-    asked = 0
-
-    def available(self, history):
-        self.asked += 1
-        return super().available(history)
-
-
-def test_unreachable_histories_same_message_on_both_tables():
+def test_unreachable_histories_same_message_on_both_tables(monkeypatch):
     # the table is the one reachability check: the rule is never asked
+    def available(self, history):
+        raise AssertionError("available called")
+
+    monkeypatch.setattr(StaticContexts, "available", available)
     ec = ExpertClass(contexts=["a", "b"], experts=[[0.2, 0.6], [0.8, 0.4]])
     count = GameInstance(3, ec, StaticContexts(["a"]))
-    rule = _CountingSame(["a"])
-    hist = GameInstance(3, ec, rule)
-    exact_minimax(hist)  # builds the table
-    rule.asked = 0
+    hist = _on_history_table(GameInstance(3, ec, StaticContexts(["a"])))
     for history in ((("b", 1),), (("a", 2),), (("a", 0), ("c", 1)),
                     (("a", 1.0),), (("a", "1"),), ((["a"], 0),),
                     (("a", -1),), (("a", None),), (("a", 0),) * 3, (("a", 1),) * 4):
@@ -520,7 +499,6 @@ def test_unreachable_histories_same_message_on_both_tables():
         one = optimal_prediction(g, (("a", 1),), "a")
         for y in (True, np.int64(1)):
             assert optimal_prediction(g, (("a", y),), "a") == one
-    assert rule.asked == 0
     ctx = [(), (0,), (1,)]
     prev = GameInstance(2, ExpertClass(ctx, np.full((2, 3), 0.5)),
                         PreviousOutcomes())
@@ -877,7 +855,7 @@ def test_instance_guards():
     with pytest.raises(ValueError, match="too large"):
         worst_case_search(GameInstance(horizon=12, expert_class=wide),
                           ConstantStrategy(0.5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="availability must never be empty"):
         StaticContexts(())
 
 
@@ -920,7 +898,7 @@ def brute_force_worst_case(g, strategy):
 
 def test_worst_case_search_matches_brute_force():
     # On a StaticContexts game the Bayes mixture is searched over count
-    # vectors, under any other rule over histories, and both take the
+    # vectors, on the history table over histories, and both take the
     # lexicographically first sequence within 1e-12 of the max.  Sorting a
     # sequence keeps its counts and so its regret, so that sequence is a
     # sorted one, and the two searches return the same sequence.  At this
@@ -944,8 +922,7 @@ def test_worst_case_search_matches_brute_force():
         top = max(r for _, r in scored)
         ties = [sorted(s) for s, r in scored if r >= top - 1e-12]
         assert seq == _split(min(ties))
-        rule = _SameEveryRound(ec.contexts)
-        g_hist = GameInstance(horizon=n, expert_class=ec, availability=rule)
+        g_hist = _on_history_table(GameInstance(horizon=n, expert_class=ec))
         hist_seq, hist_regret = worst_case_search(g_hist, BayesMixture(ec))
         assert hist_seq == ref_seq
         assert seq == hist_seq
@@ -981,21 +958,14 @@ def test_bayes_mixture_once_every_expert_is_ruled_out():
 def _random_dual_instance(rng, kind, exact_branches):
     """kind: k contexts under StaticContexts; "previous"; "subset", a rule
     offering 2 of 3 contexts, with one node set to the third; "missing", a
-    rule offering a context the class lacks; "ragged", _Ragged(3), with one
-    node set to context 2, which the rule offers at some nodes only.  With
-    exact_branches, about 30% of the branch probabilities are exactly 0 or
-    1; without, the tree is random_dual_strategy's uniform one, which has
-    no zero branch."""
+    rule offering a context the class lacks; "corrupt", PreviousOutcomes
+    with one bad node: set to another node's prefix or to the unhashable
+    [0], or (n > 1) holding a prefix the class lacks.  With exact_branches,
+    about 30% of the branch probabilities are exactly 0 or 1; without, the
+    tree is random_dual_strategy's uniform one, which has no zero branch."""
     n = int(rng.integers(1, 10))
-    if kind == "ragged":
-        ec = ExpertClass(
-            contexts=[0, 1, 2], experts=_with_exact_zeros_and_ones(rng, (3, 3))
-        )
-        g = GameInstance(horizon=n, expert_class=ec, availability=_Ragged(3))
-    elif kind == "previous":
-        contexts = [
-            c for m in range(n) for c in itertools.product((0, 1), repeat=m)
-        ]
+    if kind in ("previous", "corrupt"):
+        contexts = _prefix_contexts(n)
         ec = ExpertClass(
             contexts=contexts,
             experts=_with_exact_zeros_and_ones(rng, (3, len(contexts))),
@@ -1020,9 +990,22 @@ def _random_dual_instance(rng, kind, exact_branches):
         s.prob_tree.values[:] = _with_exact_zeros_and_ones(
             rng, s.prob_tree.values.size
         )
-    if kind in ("subset", "ragged"):
-        node = rng.integers(s.context_tree.values.size)
-        s.context_tree.values[node] = 1 if kind == "subset" else 2
+    values = s.context_tree.values
+    if kind in ("subset", "corrupt"):
+        node = rng.integers(values.size)
+    if kind == "subset":
+        values[node] = 1
+    elif kind == "corrupt":
+        how = int(rng.integers(3 if n > 1 else 2))
+        if how == 0:
+            values[node] = values[node - 1] if node else (0,)
+        elif how == 1:
+            values[node] = [0]
+        else:
+            keep = [c != values[node] for c in contexts]
+            ec = ExpertClass([c for c in contexts if c != values[node]],
+                             ec.experts[:, keep])
+            g = GameInstance(horizon=n, expert_class=ec, availability=PreviousOutcomes())
     return g, s
 
 
@@ -1034,7 +1017,7 @@ def _value_or_error(dual, g, s):
         return type(e)
 
 
-@pytest.mark.parametrize("kind", [1, 2, "previous", "subset", "missing", "ragged"])
+@pytest.mark.parametrize("kind", [1, 2, "previous", "subset", "missing", "corrupt"])
 def test_dual_value_matches_per_path_loop(kind):
     rng = np.random.default_rng(31)
     seen = set()
@@ -1049,76 +1032,11 @@ def test_dual_value_matches_per_path_loop(kind):
             assert got == pytest.approx(ref, rel=1e-12, abs=1e-300)
         else:
             assert (math.isnan(got) and math.isnan(ref)) or got == ref
-    # "subset", "ragged": the unoffered node is reached, or only through a
-    # zero branch (or, "ragged", offered there after all)
+    # "subset", "corrupt": the bad node is reached, or only through a zero
+    # branch (every "corrupt" tree has one, so a float there is that case)
     errors = {"subset": {ValueError}, "missing": {KeyError},
-              "ragged": {ValueError}}.get(kind, set())
+              "corrupt": {ValueError, KeyError}}.get(kind, set())
     assert seen == {float} | errors
-
-
-class _Counting(_Ragged):
-    """_Ragged that records every history it is asked about."""
-
-    def __init__(self, k):
-        super().__init__(k)
-        self.asked = []
-
-    def available(self, history):
-        self.asked.append(history)
-        return super().available(history)
-
-
-def test_dual_value_asks_available_once_per_reached_node():
-    rng = np.random.default_rng(12)
-    for n in range(1, 8):
-        g = GameInstance(n, ExpertClass([0, 1, 2], np.full((2, 3), 0.5)), _Counting(3))
-        s = random_dual_strategy(g, rng)
-        s.prob_tree.values[:] = _with_exact_zeros_and_ones(rng, (1 << n) - 1)
-        # the nodes that no branch of probability exactly 0 cuts off, by
-        # level, then prefix
-        want = []
-        for t in range(1, n + 1):
-            for q in range(1 << (t - 1)):
-                history = []
-                for r in range(1, t):
-                    y, node = (q >> (r - 1)) & 1, q % (1 << (r - 1))
-                    p = s.prob_tree.get(r, node)
-                    if (p if y else 1.0 - p) == 0.0:
-                        break
-                    history.append((s.context_tree.get(r, node), y))
-                else:
-                    want.append(tuple(history))
-        g.availability.asked.clear()
-        got = dual_value(g, s)
-        assert g.availability.asked == want
-        assert got == pytest.approx(reference_dual_value(g, s), rel=1e-12)
-
-
-class _Emptying(_Ragged):
-    """_Ragged, but offering nothing to every history of two rounds."""
-
-    def available(self, history):
-        return () if len(history) == 2 else super().available(history)
-
-
-def test_random_dual_strategy_rejects_empty_availability():
-    g = GameInstance(4, ExpertClass([0, 1], np.full((1, 2), 0.5)), _Emptying(2))
-    with pytest.raises(ValueError, match="availability must never be empty"):
-        random_dual_strategy(g, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="availability must never be empty"):
-        exact_minimax(g)
-
-
-def test_every_caller_reports_an_empty_offer_alike():
-    # context 0 is offered wherever anything is, so only the empty offer
-    # at round 3 can stop the dual and the protocol run
-    g = GameInstance(4, ExpertClass([0, 1], np.full((1, 2), 0.5)), _Emptying(2))
-    s = DualStrategy(context_tree=BinaryTree(4, values=np.zeros(15, dtype=object)),
-                     prob_tree=BinaryTree(4, fill=0.5))
-    with pytest.raises(ValueError, match="availability must never be empty"):
-        dual_value(g, s)
-    with pytest.raises(ValueError, match="availability must never be empty"):
-        run_strategy(g, ConstantStrategy(0.5), FixedSequence([0] * 4, [1] * 4))
 
 
 def test_dual_path_guard_before_drawing():
@@ -1190,13 +1108,12 @@ def test_random_dual_strategy_matches_per_node_draws():
     for k in (1, 2, 3):
         ec = ExpertClass(contexts=list(range(k)), experts=np.full((2, k), 0.5))
         games += [GameInstance(n, ec) for n in (1, 4, 6)]
-        games.append(GameInstance(5, ec, _Ragged(k)))
+        games.append(GameInstance(5, ec, StaticContexts(ec.contexts[::-1])))
     games.append(GameInstance(9, ec))  # k = 3
-    prev_ec = ExpertClass(
-        contexts=[c for m in range(4) for c in itertools.product((0, 1), repeat=m)],
-        experts=np.full((1, 15), 0.5),
-    )
-    games.append(GameInstance(4, prev_ec, PreviousOutcomes()))
+    # the forced prefix tree: a draw among one context takes no state
+    for n in (1, 4, 7):
+        prev_ec = ExpertClass(_prefix_contexts(n), np.full((1, (1 << n) - 1), 0.5))
+        games.append(GameInstance(n, prev_ec, PreviousOutcomes()))
     for g in games:
         for seed in range(60):
             rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
