@@ -11,6 +11,8 @@ the code rather than exiting.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
 import re
@@ -41,10 +43,6 @@ def _round_floats(obj):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return _round_floats(obj.tolist())
     return obj
 
 
@@ -58,26 +56,22 @@ def _json(obj) -> str:
         raise RuntimeError(f"report is not valid JSON: {exc}") from exc
 
 
-def _write_output(text: str, out):
-    if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(out, "w", newline="") as f:
-            f.write(text)
-
-
 def _emit(report: dict, rows, header, args):
-    """Write either the JSON report or the CSV rows, per --format."""
+    """Write either the JSON report or the CSV rows, per --format, to --out
+    or standard output."""
     if args.format == "csv":
         lines = [",".join(header)]
         for row in rows:
             lines.append(",".join(_fmt(c) if isinstance(c, float) else str(c)
                                   for c in row))
-        _write_output("\n".join(lines) + "\n", args.out)
+        text = "\n".join(lines) + "\n"
     else:
-        _write_output(_json(report), args.out)
+        text = _json(report)
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", newline="") as f:
+            f.write(text)
 
 
 def load_expert_class(path) -> ExpertClass:
@@ -137,15 +131,6 @@ def _parse_entropy(text: str) -> cover_mod.EntropyCurve:
     return cover_mod.EntropyCurve.log_form(params.get("d", 1.0))
 
 
-def _effective_config(args) -> dict:
-    cfg = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("func", "config", "emit_config") and v is not None
-    }
-    return cfg
-
-
 def _apply_config_file(parser, argv):
     """Pull defaults from --config JSON before the real parse; return the
     argv to parse and the command line's own tokens after the subcommand.
@@ -166,7 +151,7 @@ def _apply_config_file(parser, argv):
             argv.insert(0, sub)
         if not argv or argv[0].startswith("-"):
             raise ValueError("config file gives no subcommand")
-        choices = parser._subparsers._group_actions[0].choices
+        choices = _subparsers(parser)
         if argv[0] not in choices:
             raise ValueError(f"unknown subcommand: {argv[0]!r}")
         actions = {a.dest: a for a in choices[argv[0]]._actions
@@ -205,13 +190,13 @@ def _check_flags_read(args, command_line):
     if args.subcommand not in _UNREAD:
         return
     mode, unread = _UNREAD[args.subcommand](args)
-    # a fresh parser with no defaults keeps only the flags the tokens give
-    sp = build_parser()._subparsers._group_actions[0].choices[args.subcommand]
-    for action in sp._actions:
-        action.default, action.required = argparse.SUPPRESS, False
-    given = vars(sp.parse_args(command_line))
+    # argparse gives no default to a dest the namespace already holds, so
+    # only a flag that the tokens give replaces its sentinel
+    sentinel = object()
+    given = _subparsers(build_parser())[args.subcommand].parse_args(
+        command_line, argparse.Namespace(**dict.fromkeys(unread, sentinel)))
     for dest in unread:
-        if dest in given:
+        if getattr(given, dest) is not sentinel:
             flag = "--" + dest.replace("_", "-")
             raise ValueError(f"{args.subcommand} {flag} is not read {mode}")
 
@@ -266,7 +251,7 @@ def _cmd_dual(args):
         "gap": primal - best,
         "samples": args.samples,
     }
-    rows = [(i, d) for i, d in enumerate(duals)]
+    rows = list(enumerate(duals))
     _emit(report, rows, ("sample", "dual_value"), args)
     return 0
 
@@ -293,30 +278,28 @@ def _cmd_cover(args):
                 size = len(cover_mod.sequential_cover_greedy(rc, gamma).elements)
                 exact = False
             rows.append((gamma, size, exact))
+        header = ("gamma", "size", "exact")
         report = {
             "subcommand": "cover",
             "n": args.n,
             "demands": rc.n_demands,
-            "results": [
-                {"gamma": g, "size": s, "exact": e} for g, s, e in rows
-            ],
+            "results": [dict(zip(header, row)) for row in rows],
         }
-        _emit(report, rows, ("gamma", "size", "exact"), args)
+        _emit(report, rows, header, args)
         return 0
     fam = cover_mod.LipschitzGridFamily()
     curve = cover_mod.entropy_curve_estimate(fam, gammas, n=0)
     rows = list(zip(curve.gammas.tolist(), curve.lowers.tolist(),
                     curve.uppers.tolist()))
+    header = ("gamma", "lower", "upper")
     report = {
         "subcommand": "cover",
         "family": "lipschitz-grid",
         "slope": curve.slope,
-        "curve": [
-            {"gamma": g, "lower": lo, "upper": up} for g, lo, up in rows
-        ],
+        "curve": [dict(zip(header, row)) for row in rows],
         "counts": curve.counts,
     }
-    _emit(report, rows, ("gamma", "lower", "upper"), args)
+    _emit(report, rows, header, args)
     return 0
 
 
@@ -332,13 +315,11 @@ def _cmd_bounds(args):
         sc, _ = bounds_mod.self_concordance_bound(H, n)
         tr, _ = bounds_mod.truncation_bound(H, n, seed=args.seed)
         rows.append((n, float(sc), float(tr)))
+    header = ("n", "self_concordance", "truncation")
     report = {
         "subcommand": "bounds",
         "entropy": args.entropy,
-        "sweep": [
-            {"n": n, "self_concordance": sc, "truncation": tr}
-            for n, sc, tr in rows
-        ],
+        "sweep": [dict(zip(header, row)) for row in rows],
     }
     if args.fit:
         _, sc, tr = zip(*rows)
@@ -346,7 +327,7 @@ def _cmd_bounds(args):
             "self_concordance_slope": _loglog_slope(ns, sc),
             "truncation_slope": _loglog_slope(ns, tr),
         }
-    _emit(report, rows, ("n", "self_concordance", "truncation"), args)
+    _emit(report, rows, header, args)
     return 0
 
 
@@ -368,15 +349,8 @@ def _cmd_verify(args):
     report = {
         "subcommand": "verify",
         "checks": [
-            {
-                "check_id": r.check_id,
-                "grid_spec": r.grid_spec,
-                "worst_slack": r.worst_slack,
-                "worst_point": list(r.worst_point),
-                "tolerance": r.tolerance,
-                "pass": r.passed,
-                "points": r.points,
-            }
+            {"pass" if k == "passed" else k: v
+             for k, v in dataclasses.asdict(r).items()}
             for r in reports
         ],
     }
@@ -397,13 +371,8 @@ def _cmd_assouad(args):
         res = assouad_mod.scaling_experiment(
             args.p, ns, factory, seeds, master_seed=args.seed
         )
-        rows = []
-        for i, n in enumerate(res.ns):
-            for j, seed in enumerate(seeds):
-                rows.append(
-                    (args.p, n, float(res.epsilons[i]), seed,
-                     float(res.regrets[i, j]))
-                )
+        rows = [(args.p, n, float(res.epsilons[i]), seed, float(res.regrets[i, j]))
+                for i, n in enumerate(res.ns) for j, seed in enumerate(seeds)]
         report = {
             "subcommand": "assouad",
             "p": args.p,
@@ -419,21 +388,16 @@ def _cmd_assouad(args):
     lb, eps = assouad_mod.lower_bound_value(args.p, args.n)
     assouad_mod.check_class_horizon(args.n)
     ac = assouad_mod.build_assouad_class(dim, eps)
-    report = {
-        "subcommand": "assouad",
-        "p": args.p,
-        "n": args.n,
-        "epsilon": eps,
-        "n_centers": ac.n_centers,
-        "lower_bound": lb,
-    }
-    rows = [(args.p, args.n, eps, ac.n_centers, lb)]
-    _emit(report, rows, ("p", "n", "epsilon", "n_centers", "lower_bound"),
-          args)
+    header = ("p", "n", "epsilon", "n_centers", "lower_bound")
+    row = (args.p, args.n, eps, ac.n_centers, lb)
+    _emit({"subcommand": "assouad", **dict(zip(header, row))}, [row], header, args)
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's one parser, built on first use and shared by every call,
+    so nothing changes it once built."""
     parser = argparse.ArgumentParser(
         prog="logloss-lab",
         description="numerical laboratory for minimax regret under log loss",
@@ -444,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--class", dest="class_file", required=True)
     sp.add_argument("--n", type=int, required=True)
     _add_common(sp)
-    sp.set_defaults(func=_cmd_minimax)
 
     sp = sub.add_parser("dual", help="random dual strategies vs the primal")
     sp.add_argument("--class", dest="class_file", required=True)
@@ -452,14 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=100)
     sp.add_argument("--seed", type=int, default=0)
     _add_common(sp)
-    sp.set_defaults(func=_cmd_dual)
 
     sp = sub.add_parser("cover", help="covering numbers and entropy curves")
     sp.add_argument("--class", dest="class_file", default=None)
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--gammas", default="0.25,0.125,0.0625")
     _add_common(sp)
-    sp.set_defaults(func=_cmd_cover)
 
     sp = sub.add_parser("bounds", help="regret bound sweeps and rate fits")
     sp.add_argument("--entropy", required=True, help='e.g. "pow:p=2,C=1"')
@@ -467,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fit", action="store_true")
     sp.add_argument("--seed", type=int, default=0)
     _add_common(sp)
-    sp.set_defaults(func=_cmd_bounds)
 
     sp = sub.add_parser("verify", help="inequality certification checks")
     which = sp.add_mutually_exclusive_group()
@@ -476,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--resolution", type=float, default=1e-3)
     sp.add_argument("--seed", type=int, default=0)
     _add_common(sp)
-    sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("assouad", help="lower-bound construction tools")
     sp.add_argument("--p", type=float, default=1.0)
@@ -487,9 +446,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--strategy", choices=("bayes", "empirical"), default="bayes")
     sp.add_argument("--seed", type=int, default=0)
     _add_common(sp)
-    sp.set_defaults(func=_cmd_assouad)
 
     return parser
+
+
+def _subparsers(parser):
+    """Subcommand name -> its subparser."""
+    return parser._subparsers._group_actions[0].choices
+
+
+def _commands():
+    """Subcommand name -> its handler, read at call time."""
+    return {"minimax": _cmd_minimax, "dual": _cmd_dual, "cover": _cmd_cover,
+            "bounds": _cmd_bounds, "verify": _cmd_verify, "assouad": _cmd_assouad}
 
 
 def main(argv=None) -> int:
@@ -501,9 +470,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _check_flags_read(args, command_line)
         if args.emit_config is not None:
+            config = {k: v for k, v in vars(args).items()
+                      if k not in ("config", "emit_config") and v is not None}
             with open(args.emit_config, "w") as f:
-                f.write(_json(_effective_config(args)))
-        return args.func(args)
+                f.write(_json(config))
+        return _commands()[args.subcommand](args)
     except SystemExit as exc:  # from argparse: 2 usage error, 0 --help
         return exc.code
     except (ValueError, OSError, json.JSONDecodeError) as exc:

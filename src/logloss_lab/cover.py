@@ -524,9 +524,10 @@ def entropy_curve_estimate(
                 raise ValueError("resolution too coarse for this gamma")
             if n_points * levels > CELL_GUARD:
                 raise ValueError(f"gamma {g!r} is past CELL_GUARD = {CELL_GUARD}")
-            max_jump = math.floor(spacing / step)  # slope constraint
-            functions = _walks(levels, n_points, max_jump)
-            packing = _walks((levels + 1) // 2, n_points, max_jump // 2)
+            # slope 1: spacing / step is exactly 2 lattice steps per grid
+            # step (both scale g by a power of two), 1 on the even sublattice
+            functions = _walks(levels, n_points, 2)
+            packing = _walks((levels + 1) // 2, n_points, 1)
         lowers.append(math.log(packing))
         uppers.append(math.log(functions))
         counts.append({"gamma": g, "functions": functions, "packing": packing})

@@ -367,6 +367,14 @@ def _node_columns(g: GameInstance, context_tree: BinaryTree) -> np.ndarray:
     return columns
 
 
+def _refuse_node(code, x, ec):
+    """Raise for a reached node of negative `_node_columns` code: ValueError
+    for -2, KeyError for -1."""
+    if code == -2:
+        raise ValueError("context tree inconsistent with availability rule")
+    ec.context_index(x)  # raises KeyError
+
+
 def dual_value(g: GameInstance, s: DualStrategy) -> float:
     """Expected regret when the adversary commits to (x, p) trees and the
     player best-responds with p-hat = p; every branch probability must lie
@@ -375,7 +383,8 @@ def dual_value(g: GameInstance, s: DualStrategy) -> float:
 
     One pass over the tree levels.  Round t first checks the nodes that
     reached prefixes lead to by their `_node_columns` code (ValueError for
-    -2, KeyError for -1, no per-node Python when every code is a column),
+    -2, KeyError for -1, no per-node Python when every code is a column;
+    the root, always reached, before anything reads the class table),
     then extends every prefix's path probability and the player's and each
     expert's loss: row y of the level's (2, nodes) step extends it by
     outcome y, so the next level holds the outcome-0 children, then the
@@ -393,8 +402,10 @@ def dual_value(g: GameInstance, s: DualStrategy) -> float:
     branch = np.stack((1.0 - p, p))
     columns = _node_columns(g, s.context_tree)
     check = columns.min() < 0
-    losses = log_loss(p, np.array([[0], [1]]))
     ec = g.expert_class
+    if columns[0] < 0:  # always reached; an empty class has no column to take
+        _refuse_node(columns[0], s.context_tree.values[0], ec)
+    losses = log_loss(p, np.array([[0], [1]]))
     # (outcome, node, expert); an unreached node reads column 0
     lik = ec.log_lik.transpose(0, 2, 1).take(np.maximum(columns, 0), axis=1)
     prob, player = np.ones(1), np.zeros(1)
@@ -404,9 +415,7 @@ def dual_value(g: GameInstance, s: DualStrategy) -> float:
         if check:
             cols = columns[level]
             for q in np.flatnonzero(np.isfinite(player) & (cols < 0)):
-                if cols[q] == -2:
-                    raise ValueError("context tree inconsistent with availability rule")
-                ec.context_index(s.context_tree.level(t)[q])  # raises KeyError
+                _refuse_node(cols[q], s.context_tree.level(t)[q], ec)
         prob = (prob * branch[:, level]).ravel()
         player = (player + losses[:, level]).ravel()
         experts = (experts - lik[:, level]).reshape(-1, ec.n_experts)

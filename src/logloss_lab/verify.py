@@ -52,6 +52,9 @@ _EDGE = 1e-6
 _Y = np.array([0.0, 1.0])
 # A check passes when its worst slack is at least -_TOLERANCE.
 _TOLERANCE = 1e-9
+# The most points one grid axis holds (16 MB of floats).  It bounds memory,
+# not the run time of a 2-D grid.
+_MAX_AXIS_POINTS = 2 * 10**6
 
 
 @dataclass
@@ -107,9 +110,22 @@ def _report(check_id, grid_spec, blocks, coords, points=None):
     )
 
 
+def _steps(span, resolution):
+    """floor(span / resolution), the steps of a grid axis of length `span`.
+    Every axis is sized here, so one that would hold more than
+    _MAX_AXIS_POINTS points raises ValueError before any array is built."""
+    steps = span / resolution
+    if not steps < _MAX_AXIS_POINTS:
+        raise ValueError(
+            f"resolution {resolution:g} is too fine: an axis of length "
+            f"{span:g} would hold more than {_MAX_AXIS_POINTS} points"
+        )
+    return math.floor(steps)
+
+
 def _interior_grid(resolution):
     """Grid on [_EDGE, 1 - _EDGE] with the given step."""
-    m = int(math.floor((1.0 - 2 * _EDGE) / resolution)) + 1
+    m = _steps(1.0 - 2 * _EDGE, resolution) + 1
     return np.linspace(_EDGE, 1.0 - _EDGE, m)
 
 
@@ -130,7 +146,7 @@ def _check_phi_lipschitz(resolution):
     the pairwise slack is evaluated only there.
     """
     lo, hi = -100.0, 100.0
-    m = int(math.floor((hi - lo) / resolution)) + 1
+    m = _steps(hi - lo, resolution) + 1
     s = np.linspace(lo, hi, m)
     phis = phi(s)
     every = np.arange(m)
@@ -160,8 +176,7 @@ def _check_sc_pointwise(resolution):
 
 
 def _check_sc_edge(resolution):
-    m = int(math.floor(1.0 / resolution)) + 1
-    f = np.linspace(0.0, 1.0, m)
+    f = np.linspace(0.0, 1.0, _steps(1.0, resolution) + 1)
     branches = (
         # p = 1 branch: log f <= log(2 - f) - 2(1 - f)
         lambda f: np.log(2.0 - f) - 2.0 * (1.0 - f) - np.log(f),
@@ -225,7 +240,7 @@ def _check_self_concordant(resolution):
 
 def _half_axis(check_id, resolution):
     """The delta or eps axis (resolution, 0.5] of CLIPPING and KL_EPS."""
-    m = int(math.floor(0.5 / resolution))
+    m = _steps(0.5, resolution)
     if m == 0:
         raise ValueError(
             f"{check_id}: resolution {resolution:g} leaves its axis "
@@ -235,8 +250,7 @@ def _half_axis(check_id, resolution):
 
 
 def _check_clipping(resolution):
-    m = int(math.floor(1.0 / resolution)) + 1
-    p = np.linspace(0.0, 1.0, m)[None, :, None]
+    p = np.linspace(0.0, 1.0, _steps(1.0, resolution) + 1)[None, :, None]
     d = _half_axis("CLIPPING", resolution)[None, None, :]
     y = _Y[:, None, None]
     return _report(
@@ -252,8 +266,9 @@ def _check_clipping(resolution):
 
 
 def _check_kl_eps(resolution):
+    # the longer axis first, so a resolution too fine for it builds no axis
+    q = np.linspace(0.0, 1.0, _steps(1.0, resolution) + 1)[None, :]
     e = _half_axis("KL_EPS", resolution)[:, None]
-    q = np.linspace(0.0, 1.0, int(math.floor(1.0 / resolution)) + 1)[None, :]
     return _report(
         "KL_EPS",
         f"eps in ({resolution:g},0.5], q in [0,1], step {resolution:g}",
@@ -393,7 +408,7 @@ def sup_psi(lam: float, resolution: float = 1e-3):
     followed by one golden-section refinement in v at the best p.
     Returns (sup_value, (p, v)); psi checks lam."""
     _validate_resolution(resolution)
-    m = int(math.floor(1.0 / resolution)) + 1
+    m = _steps(1.0, resolution) + 1
     p = np.linspace(0.0, 1.0, m)
     u = np.linspace(0.0, 1.0, m)
     # v = p - 1 + u spans [p-1, p]; the first maximum is the first minimum
@@ -442,7 +457,7 @@ def lambda_threshold_scan(resolution: float = 1e-3) -> float:
     _validate_resolution(resolution)
     if resolution > 1e-3:
         raise ValueError("resolution must be <= 1e-3")
-    m = int(math.floor(1.0 / resolution))
+    m = _steps(1.0, resolution)
     p = np.linspace(resolution, 1.0 - resolution, m)
     u = np.linspace(0.0, 1.0, m)[None, :]
     cases = (

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -662,6 +663,55 @@ def test_exit_code_internal_error(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_cmd_bounds", raising(ValueError("bad input")))
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: bad input\n"
+
+
+def test_verify_resolution_past_the_axis_guard_exits_2(monkeypatch, capsys):
+    # refused as bad input before any grid axis is built, never as an
+    # internal OverflowError
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid axis was built")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    for extra in (["--checks", "SC_EDGE"], ["--checks", "PHI_LIPSCHITZ"], []):
+        assert main(["verify", *extra, "--resolution", "5e-324"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: resolution 4.94066e-324 is too fine: ")
+        assert "\n" not in err[:-1]
+    for check, res in (("SC_EDGE", 5e-7), ("PHI_LIPSCHITZ", 1e-4)):
+        assert main(["verify", "--checks", check, "--resolution", str(res)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: resolution {res:g} is too fine")
+
+
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    # after a first call, a second one builds no parser: the --config
+    # pre-parser's flag is the only add_argument call, and the unread-flag
+    # check reads the same parser without rewriting its actions
+    from logloss_lab import cli
+    argv = ["cover", "--gammas", "0.5", "--n", "2"]
+    assert main(argv) == 2
+    capsys.readouterr()
+    calls = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: cover --n is not read without --class\n"
+    assert calls == [("--config",)]
+    assert build_parser() is build_parser()
+    cover = cli._subparsers(build_parser())["cover"]
+    assert cover.get_default("n") == 2 and cover.get_default("class_file") is None
+
+
+def test_dispatch_table_names_the_parsers_subcommands():
+    from logloss_lab import cli
+    subparsers = cli._subparsers(build_parser())
+    assert set(cli._commands()) == set(subparsers)
+    for sp in subparsers.values():
+        assert sp.get_default("func") is None
 
 
 def test_config_with_dim_exits_2(tmp_path, capsys):

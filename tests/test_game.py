@@ -378,15 +378,14 @@ def test_prefix_levels_never_call_available(monkeypatch):
 
 
 def test_missing_prefix_same_error_on_both_builds():
-    # the table's build and the strategy walk's, and (past n = 1, where the
-    # class has no context at all) the dual's node check
+    # the table's build, the strategy walk's and the dual's node check; at
+    # n = 1 the class has no context at all
     for n, missing in ((1, ()), (3, (1,)), (4, (0, 1, 1))):
         contexts = [c for c in _prefix_contexts(n) if c != missing]
         g = GameInstance(n, ExpertClass(contexts, np.full((2, len(contexts)), 0.5)),
                          PreviousOutcomes())
-        solves = [exact_minimax, lambda g: worst_case_search(g, ConstantStrategy(0.5))]
-        if n > 1:
-            solves.append(lambda g: dual_value(g, random_dual_strategy(g, rng)))
+        solves = [exact_minimax, lambda g: worst_case_search(g, ConstantStrategy(0.5)),
+                  lambda g: dual_value(g, random_dual_strategy(g, rng))]
         rng = np.random.default_rng(n)
         for solve in solves:
             with pytest.raises(KeyError) as err:
@@ -1083,6 +1082,22 @@ def test_dual_unavailable_context():
     g3 = GameInstance(horizon=3, expert_class=ec)
     with pytest.raises(ValueError):
         dual_value(g3, DualStrategy(context_tree=ctx3, prob_tree=tiny))
+
+
+def test_dual_value_on_a_class_without_context_ids():
+    # the root's code is decided before the class table is read: KeyError
+    # under both rules, as for any context the class lacks, and ValueError
+    # for a root context the rule does not offer
+    ec = ExpertClass([], np.zeros((2, 0)))
+    rng = np.random.default_rng(0)
+    for n, rule, missing in ((1, PreviousOutcomes(), ()), (2, StaticContexts([0]), 0)):
+        g = GameInstance(n, ec, rule)
+        with pytest.raises(KeyError) as err:
+            dual_value(g, random_dual_strategy(g, rng))
+        assert str(err.value) == repr(f"unknown context id: {missing!r}")
+    ctx = BinaryTree(2, values=np.array([1, 0, 0], dtype=object))
+    with pytest.raises(ValueError, match="inconsistent with availability"):
+        dual_value(g, DualStrategy(context_tree=ctx, prob_tree=BinaryTree(2, fill=0.5)))
 
 
 def reference_random_dual_strategy(g, rng):

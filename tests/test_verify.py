@@ -634,3 +634,34 @@ def test_run_check_rejects_unknown_keywords(check_id):
     # a keyword the check does not take raises before any grid is built
     with pytest.raises(TypeError, match="unexpected keyword"):
         run_check(check_id, resolution=1e-2, n_trees_typo=5)
+
+
+def test_axis_guard_refuses_before_any_axis_is_built(monkeypatch):
+    # an axis past 2 * 10^6 points raises ValueError, not OverflowError or
+    # MemoryError, and no grid axis is built first
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid axis was built")
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    calls = {cid: (lambda r, cid=cid: run_check(cid, resolution=r))
+             for cid in CHECK_IDS if cid not in SEEDED}
+    calls["sup_psi"] = lambda r: sup_psi(LAMBDA_STAR, resolution=r)
+    calls["lambda_threshold_scan"] = lambda_threshold_scan
+    # the largest resolution that each longest axis refuses: length 200,
+    # 1 - 2e-6 (the interior grid) or 1
+    interior = 0.999998 / 2e6
+    just_past = {"PHI_LIPSCHITZ": 1e-4, "SC_POINTWISE": interior,
+                 "NESTEROV": interior, "SELF_CONCORDANT": interior}
+    for name, call in calls.items():
+        for res in (5e-324, 1e-9, just_past.get(name, 5e-7)):
+            with pytest.raises(ValueError, match="is too fine: an axis of length"):
+                call(res)
+
+
+def test_axis_guard_admits_the_finest_grids():
+    # one step coarser than the refused resolutions above gives 2 * 10^6
+    # points on a closed axis; the criterion-2 grids are well inside
+    for span, res in ((200.0, 1e-4), (1.0, 5e-7), (0.999998, 0.999998 / 2e6)):
+        assert verify_mod._steps(span, float(np.nextafter(res, 1.0))) + 1 == 2 * 10**6
+    assert verify_mod._steps(1.0, 1e-6) + 1 == 10**6 + 1
+    assert verify_mod._interior_grid(1e-6).size == 10**6 - 1
